@@ -31,7 +31,8 @@ import (
 // and the document seed.
 type ScenarioJSON struct {
 	scenario.Common
-	// Transactions is the size of the daily workload (default 5000).
+	// Transactions is the size of the daily workload (0 means the default
+	// 5000; negative is an error).
 	Transactions int `json:"transactions"`
 	// InstantShare is the fraction of transactions with a 10-second instant
 	// deadline (the rest get one hour).
@@ -82,7 +83,10 @@ func (b *bankingScenario) Configure(raw json.RawMessage) error {
 	if err := cfg.RejectParallel("banking"); err != nil {
 		return err
 	}
-	if cfg.Transactions <= 0 {
+	if cfg.Transactions < 0 {
+		return fmt.Errorf("banking scenario: transactions %d is negative", cfg.Transactions)
+	}
+	if cfg.Transactions == 0 {
 		cfg.Transactions = 5000
 	}
 	if cfg.InstantShare < 0 || cfg.InstantShare > 1 {

@@ -2,6 +2,7 @@ package banking_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"mcs/internal/banking"
@@ -67,14 +68,28 @@ func TestBankingScenarioSeedStable(t *testing.T) {
 }
 
 func TestBankingScenarioRejectsBadConfig(t *testing.T) {
-	for name, doc := range map[string]string{
-		"share too high": `{"kind": "banking", "instantShare": 1.5}`,
-		"share negative": `{"kind": "banking", "instantShare": -0.1}`,
-		"bad discipline": `{"kind": "banking", "discipline": "lifo"}`,
-		"malformed json": `{"kind": "banking", "transactions": "many"}`,
+	for name, tc := range map[string]struct{ doc, field string }{
+		"share too high":        {`{"kind": "banking", "instantShare": 1.5}`, "instantShare"},
+		"share negative":        {`{"kind": "banking", "instantShare": -0.1}`, "instantShare"},
+		"bad discipline":        {`{"kind": "banking", "discipline": "lifo"}`, "discipline"},
+		"malformed json":        {`{"kind": "banking", "transactions": "many"}`, ""},
+		"negative transactions": {`{"kind": "banking", "transactions": -5}`, "transactions"},
 	} {
-		if _, err := scenario.RunDocument(json.RawMessage(doc)); err == nil {
+		_, err := scenario.RunDocument(json.RawMessage(tc.doc))
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", name, err, tc.field)
 		}
+	}
+}
+
+func TestBankingScenarioZeroTransactionsMeansDefault(t *testing.T) {
+	res, err := scenario.RunDocument(json.RawMessage(`{"kind": "banking", "transactions": 0, "seed": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics["completed"] != 5000 {
+		t.Errorf("transactions 0: completed = %v, want the default 5000", res.Metrics["completed"])
 	}
 }

@@ -25,8 +25,9 @@ package banking
 // times to milliseconds and is therefore lossy for this stream too.
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"mcs/internal/sim"
@@ -44,10 +45,14 @@ const (
 // a workload: diurnal arrivals with an end-of-business clearing spike
 // (17:00–18:00 holds 20% of the day), lognormal amounts, and an
 // instantShare mix of instant (10s deadline) versus same-hour (1h)
-// payments. Jobs come out sorted by submit time.
+// payments. Jobs come out ordered by (Submit, ID); IDs rise in generation
+// order, so ties keep the order they were drawn in. Each job's one-task
+// slice is carved from a single backing array with its capacity capped at
+// one, so appending to a job's Tasks never writes into a neighbour's.
 func GenerateWorkload(n int, instantShare float64, r *rand.Rand) *workload.Workload {
 	day := 24 * time.Hour
 	w := &workload.Workload{Jobs: make([]workload.Job, 0, n)}
+	tasks := make([]workload.Task, n)
 	for i := 0; i < n; i++ {
 		// Arrival: 80% spread diurnally, 20% in the 17:00–18:00 spike.
 		var at time.Duration
@@ -67,27 +72,33 @@ func GenerateWorkload(n int, instantShare float64, r *rand.Rand) *workload.Workl
 			cents = 1
 		}
 		id := workload.JobID(i + 1)
+		tasks[i] = workload.Task{
+			ID:       workload.TaskID(i + 1),
+			Job:      id,
+			Cores:    1,
+			MemoryMB: int(cents),
+			Runtime:  ddl,
+		}
 		w.Jobs = append(w.Jobs, workload.Job{
 			ID:       id,
 			User:     class,
 			Submit:   at,
 			Deadline: at + ddl,
-			Tasks: []workload.Task{{
-				ID:       workload.TaskID(i + 1),
-				Job:      id,
-				Cores:    1,
-				MemoryMB: int(cents),
-				Runtime:  ddl,
-			}},
+			Tasks:    tasks[i : i+1 : i+1],
 		})
 	}
-	sort.SliceStable(w.Jobs, func(i, j int) bool { return w.Jobs[i].Submit < w.Jobs[j].Submit })
+	slices.SortFunc(w.Jobs, func(a, b workload.Job) int {
+		if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 	return w
 }
 
 // TransactionsFromWorkload reconstructs the transaction stream from its
 // workload form (see the field mapping above). Jobs without tasks get the
-// minimum amount; the stream is (re)sorted by arrival, the order
+// minimum amount; the stream is stably (re)sorted by arrival, the order
 // RunClearing requires, so hand-built or converted traces need no
 // pre-sorting.
 func TransactionsFromWorkload(w *workload.Workload) []Transaction {
@@ -105,7 +116,7 @@ func TransactionsFromWorkload(w *workload.Workload) []Transaction {
 			Cents:    cents,
 		})
 	}
-	sort.SliceStable(txs, func(i, j int) bool { return txs[i].Arrive < txs[j].Arrive })
+	slices.SortStableFunc(txs, func(a, b Transaction) int { return cmp.Compare(a.Arrive, b.Arrive) })
 	return txs
 }
 

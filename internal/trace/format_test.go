@@ -256,3 +256,37 @@ func TestMCWRoundTripsNewlineBearingFields(t *testing.T) {
 		t.Errorf("newline fields altered: %+v", got.Jobs[0])
 	}
 }
+
+func TestMCWGroupingSemantics(t *testing.T) {
+	// The header comment's promises: tasks of one job on non-adjacent rows
+	// group under that job, jobs keep first-appearance order (not ID
+	// order), unknown columns are ignored, and absent optional columns
+	// (deadline_ns, accelerator, deps) read as zero values.
+	in := "#mcw v1\n" +
+		"#columns job,task,submit_ns,runtime_ns,cores,memory_mb,user,extra\n" +
+		"7,1,300,10,1,64,bob,ignored\n" +
+		"2,2,100,20,2,128,amy,x\n" +
+		"7,3,300,30,4,256,bob,y\n" +
+		"5,4,200,40,1,32,cid,z\n" +
+		"2,5,100,50,1,16,amy,\n"
+	got, err := mcwFormat{}.Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &workload.Workload{Jobs: []workload.Job{
+		{ID: 7, User: "bob", Submit: 300, Tasks: []workload.Task{
+			{ID: 1, Job: 7, Cores: 1, MemoryMB: 64, Runtime: 10},
+			{ID: 3, Job: 7, Cores: 4, MemoryMB: 256, Runtime: 30},
+		}},
+		{ID: 2, User: "amy", Submit: 100, Tasks: []workload.Task{
+			{ID: 2, Job: 2, Cores: 2, MemoryMB: 128, Runtime: 20},
+			{ID: 5, Job: 2, Cores: 1, MemoryMB: 16, Runtime: 50},
+		}},
+		{ID: 5, User: "cid", Submit: 200, Tasks: []workload.Task{
+			{ID: 4, Job: 5, Cores: 1, MemoryMB: 32, Runtime: 40},
+		}},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("grouping:\n want %+v\n  got %+v", want, got)
+	}
+}

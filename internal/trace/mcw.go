@@ -88,6 +88,14 @@ func (mcwFormat) Write(out io.Writer, w *workload.Workload) error {
 // mcwRequired are the columns a header must name.
 var mcwRequired = []string{"job", "task", "submit_ns", "runtime_ns", "cores", "memory_mb", "user"}
 
+// mcwCols is a header's column binding, resolved once per file: the
+// record index of each known column, or -1 for an absent optional one.
+type mcwCols struct {
+	n                                              int // columns the header names
+	job, task, submit, runtime, cores, memMB, user int
+	deadline, accel, deps                          int
+}
+
 // Read implements Format. The header region ('#'-prefixed lines before the
 // first record) is scanned line by line for the magic and the #columns
 // binding; the body is then parsed by a real CSV reader, so quoted fields
@@ -97,7 +105,7 @@ var mcwRequired = []string{"job", "task", "submit_ns", "runtime_ns", "cores", "m
 func (mcwFormat) Read(in io.Reader) (*workload.Workload, error) {
 	br := bufio.NewReader(in)
 	magicSeen := false
-	var col map[string]int
+	var col *mcwCols
 	var firstRecord string
 	for firstRecord == "" {
 		text, readErr := br.ReadString('\n')
@@ -138,11 +146,14 @@ func (mcwFormat) Read(in io.Reader) (*workload.Workload, error) {
 		return nil, fmt.Errorf("%w: no #columns line", ErrBadHeader)
 	}
 
-	jobs := make(map[workload.JobID]*workload.Job)
-	var order []workload.JobID
+	// Jobs are appended in first-appearance order; index maps a job ID to
+	// its position so a later row of the same job finds it.
+	w := &workload.Workload{Jobs: []workload.Job{}}
+	index := make(map[workload.JobID]int)
 	cr := csv.NewReader(io.MultiReader(strings.NewReader(firstRecord), br))
-	cr.FieldsPerRecord = len(col)
+	cr.FieldsPerRecord = col.n
 	cr.Comment = '#'
+	cr.ReuseRecord = true // field strings stay valid; only the slice is reused
 	for {
 		fields, err := cr.Read()
 		if err == io.EOF {
@@ -151,86 +162,100 @@ func (mcwFormat) Read(in io.Reader) (*workload.Workload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 		}
-		if err := mcwAddRecord(jobs, &order, col, fields); err != nil {
+		if err := col.addRecord(w, index, fields); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 		}
-	}
-	w := &workload.Workload{Jobs: make([]workload.Job, 0, len(order))}
-	for _, id := range order {
-		w.Jobs = append(w.Jobs, *jobs[id])
 	}
 	return w, nil
 }
 
 // mcwParseColumns binds column names to indices and checks the required set.
-func mcwParseColumns(rest string) (map[string]int, error) {
-	col := make(map[string]int)
-	for i, name := range strings.Split(strings.TrimSpace(rest), ",") {
+func mcwParseColumns(rest string) (*mcwCols, error) {
+	pos := make(map[string]int)
+	names := strings.Split(strings.TrimSpace(rest), ",")
+	for i, name := range names {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			return nil, fmt.Errorf("empty column name")
 		}
-		if _, dup := col[name]; dup {
+		if _, dup := pos[name]; dup {
 			return nil, fmt.Errorf("duplicate column %q", name)
 		}
-		col[name] = i
+		pos[name] = i
 	}
 	for _, req := range mcwRequired {
-		if _, ok := col[req]; !ok {
+		if _, ok := pos[req]; !ok {
 			return nil, fmt.Errorf("missing required column %q", req)
 		}
 	}
-	return col, nil
+	at := func(name string) int {
+		if i, ok := pos[name]; ok {
+			return i
+		}
+		return -1
+	}
+	return &mcwCols{
+		n:   len(names),
+		job: at("job"), task: at("task"), submit: at("submit_ns"), runtime: at("runtime_ns"),
+		cores: at("cores"), memMB: at("memory_mb"), user: at("user"),
+		deadline: at("deadline_ns"), accel: at("accelerator"), deps: at("deps"),
+	}, nil
 }
 
-// mcwAddRecord parses one CSV record into the job map.
-func mcwAddRecord(jobs map[workload.JobID]*workload.Job, order *[]workload.JobID, col map[string]int, fields []string) error {
-	get := func(name string) (string, bool) {
-		i, ok := col[name]
-		if !ok || i >= len(fields) {
-			return "", false
-		}
-		return fields[i], true
+// mcwField returns the record's value of column i, or "" for an absent one.
+func mcwField(fields []string, i int) string {
+	if i < 0 {
+		return ""
 	}
-	getInt := func(name string) (int64, error) {
-		s, ok := get(name)
-		if !ok {
-			return 0, nil
-		}
-		return strconv.ParseInt(s, 10, 64)
+	return fields[i]
+}
+
+// mcwInt parses column i, named name, as an integer; an absent column
+// reads as 0.
+func mcwInt(fields []string, i int, name string) (int64, error) {
+	if i < 0 {
+		return 0, nil
 	}
-	jobID, err := getInt("job")
+	v, err := strconv.ParseInt(fields[i], 10, 64)
 	if err != nil {
-		return fmt.Errorf("job: %v", err)
+		return 0, fmt.Errorf("%s: %v", name, err)
 	}
-	taskID, err := getInt("task")
+	return v, nil
+}
+
+// addRecord parses one CSV record into w, appending a new job on its
+// first appearance and the task to the job index names.
+func (c *mcwCols) addRecord(w *workload.Workload, index map[workload.JobID]int, fields []string) error {
+	jobID, err := mcwInt(fields, c.job, "job")
 	if err != nil {
-		return fmt.Errorf("task: %v", err)
+		return err
 	}
-	submit, err := getInt("submit_ns")
+	taskID, err := mcwInt(fields, c.task, "task")
 	if err != nil {
-		return fmt.Errorf("submit_ns: %v", err)
+		return err
 	}
-	runtime, err := getInt("runtime_ns")
+	submit, err := mcwInt(fields, c.submit, "submit_ns")
 	if err != nil {
-		return fmt.Errorf("runtime_ns: %v", err)
+		return err
 	}
-	cores, err := getInt("cores")
+	runtime, err := mcwInt(fields, c.runtime, "runtime_ns")
 	if err != nil {
-		return fmt.Errorf("cores: %v", err)
+		return err
 	}
-	memMB, err := getInt("memory_mb")
+	cores, err := mcwInt(fields, c.cores, "cores")
 	if err != nil {
-		return fmt.Errorf("memory_mb: %v", err)
+		return err
 	}
-	deadline, err := getInt("deadline_ns")
+	memMB, err := mcwInt(fields, c.memMB, "memory_mb")
 	if err != nil {
-		return fmt.Errorf("deadline_ns: %v", err)
+		return err
 	}
-	user, _ := get("user")
-	accel, _ := get("accelerator")
+	deadline, err := mcwInt(fields, c.deadline, "deadline_ns")
+	if err != nil {
+		return err
+	}
 	var deps []workload.TaskID
-	if s, ok := get("deps"); ok && s != "-" && s != "" {
+	if s := mcwField(fields, c.deps); s != "-" && s != "" {
 		for _, part := range strings.Split(s, ";") {
 			d, err := strconv.ParseInt(part, 10, 64)
 			if err != nil {
@@ -239,25 +264,27 @@ func mcwAddRecord(jobs map[workload.JobID]*workload.Job, order *[]workload.JobID
 			deps = append(deps, workload.TaskID(d))
 		}
 	}
-	j, ok := jobs[workload.JobID(jobID)]
+	id := workload.JobID(jobID)
+	at, ok := index[id]
 	if !ok {
-		j = &workload.Job{
-			ID:       workload.JobID(jobID),
-			User:     user,
+		at = len(w.Jobs)
+		index[id] = at
+		w.Jobs = append(w.Jobs, workload.Job{
+			ID:       id,
+			User:     mcwField(fields, c.user),
 			Submit:   time.Duration(submit),
 			Deadline: time.Duration(deadline),
-		}
-		jobs[workload.JobID(jobID)] = j
-		*order = append(*order, j.ID)
+		})
 	}
+	j := &w.Jobs[at]
 	j.Tasks = append(j.Tasks, workload.Task{
 		ID:          workload.TaskID(taskID),
-		Job:         j.ID,
+		Job:         id,
 		Cores:       int(cores),
 		MemoryMB:    int(memMB),
 		Runtime:     time.Duration(runtime),
 		Deps:        deps,
-		Accelerator: accel,
+		Accelerator: mcwField(fields, c.accel),
 	})
 	return nil
 }
