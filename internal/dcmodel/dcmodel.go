@@ -69,6 +69,18 @@ type Machine struct {
 	usedMemMB int
 	down      bool
 	asleep    bool
+
+	// owner is the cluster whose power/utilization cache this machine's
+	// state feeds; set by that cluster's scan, nil until one has run.
+	owner *Cluster
+}
+
+// invalidate marks the owning cluster's cache stale. Mutators call it before
+// they change state; refused calls and releases on a down machine skip it.
+func (m *Machine) invalidate() {
+	if m.owner != nil {
+		m.owner.fresh = false
+	}
 }
 
 // FreeCores returns currently unallocated cores (0 while the machine is
@@ -106,6 +118,7 @@ func (m *Machine) Down() bool { return m.down }
 // allocations (the running tasks are lost; the scheduler must reschedule)
 // and its sleep state; repairs return the machine awake.
 func (m *Machine) SetDown(down bool) {
+	m.invalidate()
 	m.down = down
 	m.asleep = false
 	if down {
@@ -124,6 +137,7 @@ func (m *Machine) SetAsleep(asleep bool) {
 	if asleep && (m.down || m.usedCores > 0) {
 		return
 	}
+	m.invalidate()
 	m.asleep = asleep
 }
 
@@ -141,6 +155,7 @@ func (m *Machine) Allocate(cores, memMB int) bool {
 	if !m.Fits(cores, memMB) {
 		return false
 	}
+	m.invalidate()
 	m.usedCores += cores
 	m.usedMemMB += memMB
 	return true
@@ -152,6 +167,7 @@ func (m *Machine) Release(cores, memMB int) {
 	if m.down {
 		return
 	}
+	m.invalidate()
 	m.usedCores -= cores
 	if m.usedCores < 0 {
 		m.usedCores = 0
@@ -164,9 +180,18 @@ func (m *Machine) Release(cores, memMB int) {
 
 // Cluster is a set of machines with rack topology — the resource pool one
 // scheduler manages (one "constituent system" of an ecosystem).
+//
+// PowerWatts and Utilization read a cache that machine mutators invalidate,
+// so a monitor tick between state changes costs O(1). The scan that fills
+// the cache binds every machine to its cluster; a machine belongs to one
+// cluster, and machines added to Machines after a read need a Reset. The
+// cache is written by those reads, so a cluster is single-goroutine.
 type Cluster struct {
 	Name     string
 	Machines []*Machine
+
+	fresh        bool // cache matches the machines; the zero value scans
+	powerW, util float64
 }
 
 // TotalCores sums cores over all machines, up or down.
@@ -200,35 +225,47 @@ func (c *Cluster) UpMachines() int {
 
 // Utilization returns cluster-wide core utilization over up machines.
 func (c *Cluster) Utilization() float64 {
-	var used, cap int
-	for _, m := range c.Machines {
-		if m.Down() || m.Asleep() {
-			continue
-		}
-		used += m.UsedCores()
-		cap += m.Class.Cores
-	}
-	if cap == 0 {
-		return 0
-	}
-	return float64(used) / float64(cap)
+	c.refresh()
+	return c.util
 }
 
 // PowerWatts returns the instantaneous cluster power draw; down machines
 // draw nothing, sleeping machines draw SleepWatts.
 func (c *Cluster) PowerWatts() float64 {
-	total := 0.0
-	for _, m := range c.Machines {
-		if m.Down() {
-			continue
-		}
-		if m.Asleep() {
-			total += SleepWatts
-			continue
-		}
-		total += m.Class.Power(m.Utilization())
+	c.refresh()
+	return c.powerW
+}
+
+// refresh recomputes the cached power and utilization when a machine has
+// changed since the last scan, binding each machine to c on the way. Machine
+// order and per-machine expressions are those of a plain scan, and
+// utilization is integer sums divided once, so the cached floats are
+// bit-identical to it.
+func (c *Cluster) refresh() {
+	if c.fresh {
+		return
 	}
-	return total
+	var used, cap int
+	power := 0.0
+	for _, m := range c.Machines {
+		m.owner = c
+		if m.down {
+			continue
+		}
+		if m.asleep {
+			power += SleepWatts
+			continue
+		}
+		used += m.usedCores
+		cap += m.Class.Cores
+		power += m.Class.Power(m.Utilization())
+	}
+	c.util = 0
+	if cap > 0 {
+		c.util = float64(used) / float64(cap)
+	}
+	c.powerW = power
+	c.fresh = true
 }
 
 // Validate checks machine classes and unique IDs.
@@ -255,6 +292,7 @@ func (c *Cluster) Reset() {
 		m.usedCores = 0
 		m.usedMemMB = 0
 	}
+	c.fresh = false
 }
 
 // Standard machine classes used across experiments. Speeds are relative;

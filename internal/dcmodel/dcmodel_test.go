@@ -1,6 +1,7 @@
 package dcmodel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -206,5 +207,97 @@ func TestDatacenterTotalCores(t *testing.T) {
 	}}
 	if got := d.TotalCores(); got != 2*16+3*8 {
 		t.Errorf("total=%d", got)
+	}
+}
+
+// scanUtilization and scanPowerWatts are the uncached cluster scans, kept as
+// the reference the cache must reproduce bit for bit.
+func scanUtilization(c *Cluster) float64 {
+	var used, cap int
+	for _, m := range c.Machines {
+		if m.Down() || m.Asleep() {
+			continue
+		}
+		used += m.UsedCores()
+		cap += m.Class.Cores
+	}
+	if cap == 0 {
+		return 0
+	}
+	return float64(used) / float64(cap)
+}
+
+func scanPowerWatts(c *Cluster) float64 {
+	total := 0.0
+	for _, m := range c.Machines {
+		if m.Down() {
+			continue
+		}
+		if m.Asleep() {
+			total += SleepWatts
+			continue
+		}
+		total += m.Class.Power(m.Utilization())
+	}
+	return total
+}
+
+// TestClusterCacheMatchesScan drives random mutator sequences, refused and
+// no-op calls included, and checks after every step that the cached power
+// and utilization carry the same bits as a fresh scan.
+func TestClusterCacheMatchesScan(t *testing.T) {
+	clusters := map[string]func() *Cluster{
+		"homogeneous": func() *Cluster { return NewHomogeneous("h", 12, ClassCommodity, 4) },
+		"heterogeneous": func() *Cluster {
+			return NewHeterogeneous("x", []Mix{
+				{Class: ClassCommodity, Count: 4},
+				{Class: ClassBig, Count: 3},
+				{Class: ClassSlow, Count: 3},
+				{Class: ClassGPU, Count: 3},
+			}, 4, rand.New(rand.NewSource(1)))
+		},
+		"struct literal": func() *Cluster {
+			return &Cluster{Machines: []*Machine{
+				{ID: 0, Class: ClassGPU}, {ID: 1, Class: ClassSlow}, {ID: 2, Class: ClassBig},
+			}}
+		},
+	}
+	for name, mk := range clusters {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(7))
+			c := mk()
+			for step := 0; step < 20000; step++ {
+				m := c.Machines[r.Intn(len(c.Machines))]
+				var op string
+				switch k := r.Intn(100); {
+				case k < 40:
+					op = "Allocate"
+					m.Allocate(r.Intn(m.Class.Cores+4), r.Intn(m.Class.MemoryMB/4+1))
+				case k < 75:
+					op = "Release"
+					m.Release(r.Intn(m.Class.Cores/2+2), r.Intn(m.Class.MemoryMB/8+1))
+				case k < 85:
+					op = "SetDown"
+					m.SetDown(r.Intn(2) == 0)
+				case k < 99:
+					op = "SetAsleep"
+					m.SetAsleep(r.Intn(2) == 0)
+				default:
+					op = "Reset"
+					c.Reset()
+				}
+				// Skip some reads so mutations also land on a cache that
+				// was not refreshed since the previous one.
+				if r.Intn(4) == 0 {
+					continue
+				}
+				if got, want := math.Float64bits(c.PowerWatts()), math.Float64bits(scanPowerWatts(c)); got != want {
+					t.Fatalf("step %d after %s: PowerWatts bits %#x, scan %#x", step, op, got, want)
+				}
+				if got, want := math.Float64bits(c.Utilization()), math.Float64bits(scanUtilization(c)); got != want {
+					t.Fatalf("step %d after %s: Utilization bits %#x, scan %#x", step, op, got, want)
+				}
+			}
+		})
 	}
 }

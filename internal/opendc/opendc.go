@@ -159,6 +159,9 @@ type running struct {
 	done    *sim.Event
 }
 
+// maxEvents is the safety cap on the events one run may execute.
+const maxEvents = 50_000_000
+
 // Errors returned by Run for invalid scenarios.
 var (
 	ErrNoCluster  = errors.New("opendc: scenario has no cluster")
@@ -298,11 +301,20 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
+	if sc.Horizon > 0 {
+		// One sample per tick up to an explicit horizon, and never more
+		// than the event cap lets fire. Drained runs stop far short of
+		// their internal bound, so they grow as needed.
+		n := int(min(sc.Horizon/interval, maxEvents))
+		for _, ts := range []*stats.TimeSeries{e.queueSeries, e.demandSeries, e.runningSeries, e.utilSeries} {
+			ts.Grow(n)
+		}
+	}
 	monitor := sim.NewTicker(e.k, interval, func(now sim.Time) {
 		e.sample(now)
 	})
 
-	e.k.SetMaxEvents(50_000_000)
+	e.k.SetMaxEvents(maxEvents)
 	e.k.RunUntil(e.horizon)
 	monitor.Stop()
 	if powerTicker != nil {

@@ -1,6 +1,7 @@
 package opendc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"mcs/internal/dcmodel"
 	"mcs/internal/failure"
 	"mcs/internal/sched"
+	"mcs/internal/stats"
 	"mcs/internal/workload"
 )
 
@@ -337,6 +339,28 @@ func TestMonitoringSeriesPopulated(t *testing.T) {
 			t.Fatalf("utilization sample %v out of [0,1]", p.V)
 		}
 	}
+
+	// With an explicit horizon there is one sample per tick, the count the
+	// series are reserved for up front.
+	const horizon, interval = 2*time.Hour + 5*time.Second, 10 * time.Second
+	res, err = Run(&Scenario{
+		Cluster:         dcmodel.NewHomogeneous("c", 4, dcmodel.ClassCommodity, 8),
+		Workload:        w,
+		Horizon:         horizon,
+		MonitorInterval: interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int(horizon / interval)
+	for name, ts := range map[string]*stats.TimeSeries{
+		"queue": res.QueueLenSeries, "demand": res.DemandSeries,
+		"running": res.RunningSeries, "utilization": res.UtilizationSeries,
+	} {
+		if ts.Len() != want {
+			t.Errorf("%s series has %d samples over %v at %v, want %d", name, ts.Len(), horizon, interval, want)
+		}
+	}
 }
 
 func BenchmarkRun500Jobs(b *testing.B) {
@@ -353,4 +377,51 @@ func BenchmarkRun500Jobs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunLongHorizon is the long-horizon datacenter run: 256 machines,
+// 2,000 bursty bag jobs and correlated Weibull/lognormal failures over 100
+// days, about 290k monitor ticks. The monitor tick dominates it.
+func BenchmarkRunLongHorizon(b *testing.B) {
+	arrival, err := workload.ArrivalByName("bursty")
+	if err != nil {
+		b.Fatal(err)
+	}
+	shape, err := workload.ShapeByName("bag")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.Generate(workload.GeneratorConfig{Jobs: 2000, Arrival: arrival, Shape: shape},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Failure events every 4 h and repairs of 10 min on average, as in the
+	// datacenter-long document of perfbench.
+	unitWeibull := stats.Weibull{K: 0.6, Lambda: 1}
+	failures := &failure.Model{
+		MTBFSeconds:   stats.Weibull{K: 0.6, Lambda: 14400 / unitWeibull.Mean()},
+		RepairSeconds: stats.LogNormal{Mu: math.Log(600) - 0.5, Sigma: 1},
+		GroupSize:     stats.Truncate{D: stats.Normal{Mu: 4, Sigma: 2}, Lo: 1, Hi: 16},
+		SameRackBias:  0.8,
+	}
+	cluster := dcmodel.NewHomogeneous("c", 256, dcmodel.ClassCommodity, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		res, err := Run(&Scenario{
+			Cluster:  cluster,
+			Workload: w,
+			Sched:    sched.Config{Queue: sched.SJF{}, Placement: sched.BestFit{}, Mode: sched.EASY},
+			Failures: failures,
+			Horizon:  100 * 24 * time.Hour,
+			Seed:     1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.SimulatedEvents
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -1,11 +1,13 @@
 package opendc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"mcs/internal/dcmodel"
+	"mcs/internal/failure"
 	"mcs/internal/workload"
 )
 
@@ -120,5 +122,52 @@ func TestSleepPowerDraw(t *testing.T) {
 	}
 	if slept >= awake {
 		t.Errorf("sleeping did not reduce power: %v vs %v", slept, awake)
+	}
+}
+
+// TestPowerManagedRunPinned pins the float bits of a power-managed run with
+// failures on a heterogeneous cluster. Documents cannot reach sleep and wake,
+// so the golden corpus does not cover this path: every sleep, wake, failure
+// and repair here feeds the cluster power figure the energy integral reads.
+func TestPowerManagedRunPinned(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	arrival, err := workload.ArrivalByName("bursty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(workload.GeneratorConfig{Jobs: 400, Arrival: arrival}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(power *PowerPolicy) *Result {
+		res, err := Run(&Scenario{
+			Cluster: dcmodel.NewHeterogeneous("c", []dcmodel.Mix{
+				{Class: dcmodel.ClassCommodity, Count: 8},
+				{Class: dcmodel.ClassSlow, Count: 4},
+				{Class: dcmodel.ClassGPU, Count: 4},
+			}, 4, rand.New(rand.NewSource(12))),
+			Workload: w,
+			Failures: failure.CorrelatedModel(time.Hour, 15*time.Minute, 2),
+			Power:    power,
+			Horizon:  3 * 24 * time.Hour,
+			Seed:     13,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(&PowerPolicy{IdleTimeout: 3 * time.Minute, WakeDelay: 20 * time.Second})
+	if len(res.FailureEvents) == 0 || res.FailureRestarts == 0 {
+		t.Fatalf("no failures reached the run (%d events, %d restarts)", len(res.FailureEvents), res.FailureRestarts)
+	}
+	if always := run(nil); always.EnergyKWh <= res.EnergyKWh {
+		t.Fatalf("power policy slept nothing: %v kWh managed vs %v always-on", res.EnergyKWh, always.EnergyKWh)
+	}
+	got := [3]uint64{math.Float64bits(res.EnergyKWh), math.Float64bits(res.Utilization), uint64(res.Makespan)}
+	want := [3]uint64{0x402fde1a0f1eac5c, 0x3f71abe1a0736548, 0x138614643d4c}
+	if got != want {
+		t.Errorf("pinned bits moved: got %#x (energy %v kWh, utilization %v, makespan %v), want %#x",
+			got, res.EnergyKWh, res.Utilization, res.Makespan, want)
 	}
 }

@@ -9,6 +9,7 @@ package opendc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -53,11 +54,29 @@ const ExampleJSON = `{
   "horizonSeconds": 86400, "seed": 1
 }`
 
+// maxHorizonSeconds is the longest horizon, in whole seconds, that converts
+// to a time.Duration (int64 nanoseconds) without overflow.
+const maxHorizonSeconds = math.MaxInt64 / 1_000_000_000
+
 // Build converts the JSON schema into a runnable scenario. A failures
 // section in the document header becomes a document-seeded FailureSource
-// (the kernel's random stream stays untouched).
+// (the kernel's random stream stays untouched). Negative sizes, and a
+// horizon past the time.Duration range, are errors naming the field; zero
+// keeps each field's default.
 func Build(cfg ScenarioJSON) (*Scenario, error) {
-	if cfg.Machines <= 0 {
+	switch {
+	case cfg.Machines < 0:
+		return nil, fmt.Errorf("datacenter scenario: machines %d is negative", cfg.Machines)
+	case cfg.RackSize < 0:
+		return nil, fmt.Errorf("datacenter scenario: rackSize %d is negative", cfg.RackSize)
+	case cfg.HorizonSeconds < 0:
+		return nil, fmt.Errorf("datacenter scenario: horizonSeconds %v is negative", cfg.HorizonSeconds)
+	case cfg.HorizonSeconds > maxHorizonSeconds:
+		return nil, fmt.Errorf("datacenter scenario: horizonSeconds %v exceeds the %d s a time.Duration can hold", cfg.HorizonSeconds, maxHorizonSeconds)
+	case cfg.Workload.Jobs < 0:
+		return nil, fmt.Errorf("datacenter scenario: workload.jobs %d is negative", cfg.Workload.Jobs)
+	}
+	if cfg.Machines == 0 {
 		cfg.Machines = 16
 	}
 	class, err := ClassByName(cfg.Class)

@@ -309,6 +309,32 @@ func TestTimeSeriesOutOfOrderInsert(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesGrowReservesExactly checks that after Grow(n) the next n Adds
+// allocate nothing, on an empty series and on one that already holds points.
+func TestTimeSeriesGrowReservesExactly(t *testing.T) {
+	// 1024 points fill a malloc size class exactly, so a reserve one short
+	// of n leaves no slack for the last Add.
+	const n = 1025
+	for _, held := range []int{0, 3} {
+		fill := func(adds int) func() {
+			return func() {
+				ts := NewTimeSeries()
+				for i := 0; i < held; i++ {
+					ts.Add(time.Duration(i), 0)
+				}
+				ts.Grow(n)
+				for i := 0; i < adds; i++ {
+					ts.Add(time.Duration(held+i), float64(i))
+				}
+			}
+		}
+		reserve := testing.AllocsPerRun(10, fill(0))
+		if got := testing.AllocsPerRun(10, fill(n)); got != reserve {
+			t.Errorf("held %d: %d Adds after Grow(%d) allocated %v times, want 0", held, n, n, got-reserve)
+		}
+	}
+}
+
 func TestTimeSeriesResample(t *testing.T) {
 	ts := NewTimeSeries()
 	ts.Add(0, 1)

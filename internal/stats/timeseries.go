@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -35,6 +36,10 @@ func (ts *TimeSeries) Add(t time.Duration, v float64) {
 	copy(ts.points[idx+1:], ts.points[idx:])
 	ts.points[idx] = Point{T: t, V: v}
 }
+
+// Grow reserves room for n more observations, so the next n Adds do not
+// reallocate.
+func (ts *TimeSeries) Grow(n int) { ts.points = slices.Grow(ts.points, n) }
 
 // Len returns the number of observations.
 func (ts *TimeSeries) Len() int { return len(ts.points) }
