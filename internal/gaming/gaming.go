@@ -9,10 +9,11 @@
 package gaming
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"mcs/internal/failure"
@@ -303,12 +304,12 @@ func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 	// kernel RNG in arrival order — the same consumption sequence whether
 	// the workload was synthesized or read from a trace.
 	//
-	// Arrivals are pre-extracted into one column and admitted with a single
-	// ScheduleBatch sharing one handler; a cursor walks the column in firing
-	// order. The stable sort by submit time reproduces the per-job
-	// ScheduleAt loop's firing order exactly: the kernel fires by (time,
-	// admission order), and both the old loop and the sorted batch admit
-	// same-instant arrivals in job order.
+	// Arrivals are pre-extracted and admitted as one kernel stream sharing
+	// one handler; a cursor walks the session column in firing order. The
+	// stable sort by submit time reproduces the per-job ScheduleAt loop's
+	// firing order exactly: the kernel fires by (time, admission order), and
+	// both the old loop and the sorted stream admit same-instant arrivals in
+	// job order.
 	type arrival struct {
 		at      sim.Time
 		session time.Duration
@@ -321,7 +322,11 @@ func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 		}
 		arrivals = append(arrivals, arrival{at: sim.Time(j.Submit), session: j.Tasks[0].Runtime})
 	}
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+	slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
+	at := make([]sim.Time, len(arrivals))
+	for i := range arrivals {
+		at[i] = arrivals[i].at
+	}
 	cursor := 0
 	arrive := func(now sim.Time) {
 		session := arrivals[cursor].session
@@ -338,11 +343,7 @@ func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 		k.AfterFunc(session, departH[h])
 		k.AfterFunc(expDuration(k, cfg.MoveEveryMinutes), moveH[h])
 	}
-	batch := make([]sim.BatchItem, len(arrivals))
-	for i := range arrivals {
-		batch[i] = sim.BatchItem{At: arrivals[i].at, Fn: arrive}
-	}
-	if err := k.ScheduleBatch(batch); err != nil {
+	if err := k.ScheduleStream(at, arrive); err != nil {
 		return nil, err
 	}
 	k.SetMaxEvents(20_000_000)
@@ -391,10 +392,13 @@ func GenerateSessions(cfg WorldConfig, r *rand.Rand) (*workload.Workload, error)
 	if sessionDist == nil {
 		sessionDist = stats.Truncate{D: stats.LogNormal{Mu: 3.4, Sigma: 0.8}, Lo: 5, Hi: 480}
 	}
+	// Draw (arrival, session) pairs in RNG order into two columns, then
+	// build the jobs at their final length, carving every job's one task
+	// from a single capacity-capped array.
 	arrivals := &diurnalArrivals{base: cfg.ArrivalPerHour, amp: cfg.DiurnalAmp}
-	w := &workload.Workload{}
+	var submit, session []time.Duration
 	var clock time.Duration
-	for i := 1; ; i++ {
+	for {
 		clock += arrivals.next(r)
 		if clock >= cfg.Horizon {
 			break
@@ -403,18 +407,20 @@ func GenerateSessions(cfg WorldConfig, r *rand.Rand) (*workload.Workload, error)
 		if sessionMin <= 0 {
 			sessionMin = 1
 		}
-		id := workload.JobID(i)
-		w.Jobs = append(w.Jobs, workload.Job{
+		submit = append(submit, clock)
+		session = append(session, time.Duration(sessionMin*float64(time.Minute)))
+	}
+	w := &workload.Workload{Jobs: make([]workload.Job, len(submit))}
+	tasks := make([]workload.Task, len(submit))
+	for k := range submit {
+		id := workload.JobID(k + 1)
+		tasks[k] = workload.Task{ID: workload.TaskID(k + 1), Job: id, Cores: 1, Runtime: session[k]}
+		w.Jobs[k] = workload.Job{
 			ID:     id,
-			User:   playerName(i),
-			Submit: clock,
-			Tasks: []workload.Task{{
-				ID:      workload.TaskID(i),
-				Job:     id,
-				Cores:   1,
-				Runtime: time.Duration(sessionMin * float64(time.Minute)),
-			}},
-		})
+			User:   playerName(k + 1),
+			Submit: submit[k],
+			Tasks:  tasks[k : k+1 : k+1],
+		}
 	}
 	return w, nil
 }

@@ -80,16 +80,31 @@ func (g *gamingScenario) Configure(raw json.RawMessage) error {
 	if err := cfg.RejectParallel("gaming"); err != nil {
 		return err
 	}
-	if cfg.Zones <= 0 {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"zones", float64(cfg.Zones)},
+		{"zoneCapacity", float64(cfg.ZoneCapacity)},
+		{"maxServersPerZone", float64(cfg.MaxServersPerZone)},
+		{"arrivalPerHour", cfg.ArrivalPerHour},
+		{"moveEveryMinutes", cfg.MoveEveryMinutes},
+		{"horizonHours", cfg.HorizonHours},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("gaming scenario: %s %v is negative", f.name, f.v)
+		}
+	}
+	if cfg.Zones == 0 {
 		cfg.Zones = 12
 	}
-	if cfg.ZoneCapacity <= 0 {
+	if cfg.ZoneCapacity == 0 {
 		cfg.ZoneCapacity = 100
 	}
-	if cfg.ArrivalPerHour <= 0 {
+	if cfg.ArrivalPerHour == 0 {
 		cfg.ArrivalPerHour = 1000
 	}
-	if cfg.HorizonHours <= 0 {
+	if cfg.HorizonHours == 0 {
 		cfg.HorizonHours = 24
 	}
 	if cfg.HorizonHours > 24*365 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +80,41 @@ func TestGamingScenarioRejectsBadConfig(t *testing.T) {
 		if _, err := scenario.RunDocument(json.RawMessage(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+func TestGamingScenarioRejectsNegativeValues(t *testing.T) {
+	for name, tc := range map[string]struct{ doc, field string }{
+		"negative zones":             {`{"kind": "gaming", "zones": -1}`, "zones"},
+		"negative zoneCapacity":      {`{"kind": "gaming", "zoneCapacity": -100}`, "zoneCapacity"},
+		"negative maxServersPerZone": {`{"kind": "gaming", "maxServersPerZone": -4}`, "maxServersPerZone"},
+		"negative arrivalPerHour":    {`{"kind": "gaming", "arrivalPerHour": -5}`, "arrivalPerHour"},
+		"negative moveEveryMinutes":  {`{"kind": "gaming", "moveEveryMinutes": -10}`, "moveEveryMinutes"},
+		"negative horizonHours":      {`{"kind": "gaming", "horizonHours": -24}`, "horizonHours"},
+	} {
+		_, err := scenario.RunDocument(json.RawMessage(tc.doc))
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", name, err, tc.field)
+		}
+	}
+}
+
+func TestGamingScenarioZeroMeansDefault(t *testing.T) {
+	zero, err := scenario.RunDocument(json.RawMessage(`{"kind": "gaming", "zones": 0, "zoneCapacity": 0,
+		"maxServersPerZone": 0, "arrivalPerHour": 0, "moveEveryMinutes": 0, "horizonHours": 0, "seed": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	omitted, err := scenario.RunDocument(json.RawMessage(`{"kind": "gaming", "seed": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(zero)
+	b, _ := json.Marshal(omitted)
+	if string(a) != string(b) {
+		t.Errorf("explicit zeros differ from the defaults:\n  %s\n  %s", a, b)
 	}
 }
 

@@ -11,8 +11,10 @@
 package opendc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -187,9 +189,16 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 	if err := sc.Cluster.Validate(); err != nil {
 		return nil, fmt.Errorf("opendc: %w", err)
 	}
-	if err := sc.Workload.Validate(); err != nil {
-		return nil, fmt.Errorf("opendc: %w", err)
+	// Jobs may come in any order: they are admitted in a stable submit-time
+	// order, so same-instant jobs keep their slice order.
+	jobs := make([]*workload.Job, len(sc.Workload.Jobs))
+	for i := range sc.Workload.Jobs {
+		jobs[i] = &sc.Workload.Jobs[i]
+		if err := jobs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("opendc: %w", err)
+		}
 	}
+	slices.SortStableFunc(jobs, func(a, b *workload.Job) int { return cmp.Compare(a.Submit, b.Submit) })
 	sc.Cluster.Reset()
 
 	cfg := sc.Sched
@@ -228,27 +237,28 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		// Generous internal bound: workload span plus serial execution of
 		// all work on one reference core, plus slack.
 		var serial time.Duration
-		for i := range sc.Workload.Jobs {
-			serial += sc.Workload.Jobs[i].TotalWork()
+		for _, job := range jobs {
+			serial += job.TotalWork()
 		}
-		e.horizon = sc.Workload.Span() + 2*serial + 24*time.Hour
+		e.horizon = jobs[len(jobs)-1].Submit - jobs[0].Submit + 2*serial + 24*time.Hour
 	}
 
-	// Submit events, admitted in one batch heapify.
-	submits := make([]sim.BatchItem, 0, len(sc.Workload.Jobs))
-	for i := range sc.Workload.Jobs {
-		job := &sc.Workload.Jobs[i]
+	// Submits and the failure timeline each go in as one kernel stream: a
+	// sorted time column, one handler, and a cursor over the sorted items.
+	submitAt := make([]sim.Time, len(jobs))
+	for i, job := range jobs {
 		e.jobs[job.ID] = job
-		submits = append(submits, sim.BatchItem{
-			At: job.Submit,
-			Fn: func(now sim.Time) { e.submitJob(job, now) },
-		})
+		submitAt[i] = job.Submit
 	}
-	if err := e.k.ScheduleBatch(submits); err != nil {
+	nextJob := 0
+	if err := e.k.ScheduleStream(submitAt, func(now sim.Time) {
+		job := jobs[nextJob]
+		nextJob++
+		e.submitJob(job, now)
+	}); err != nil {
 		return nil, fmt.Errorf("opendc: schedule submits: %w", err)
 	}
 
-	// Failure injection: the whole pre-generated trace goes in as one batch.
 	if sc.Failures != nil || sc.FailureSource != nil {
 		racks := make([]string, len(sc.Cluster.Machines))
 		for i, m := range sc.Cluster.Machines {
@@ -264,16 +274,19 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("opendc: failures: %w", err)
 		}
+		events = slices.Clone(events)
+		slices.SortStableFunc(events, func(a, b failure.Event) int { return cmp.Compare(a.At, b.At) })
 		e.failureEvents = events
-		failures := make([]sim.BatchItem, 0, len(events))
-		for _, fe := range events {
-			fe := fe
-			failures = append(failures, sim.BatchItem{
-				At: fe.At,
-				Fn: func(now sim.Time) { e.failMachines(fe, now) },
-			})
+		failAt := make([]sim.Time, len(events))
+		for i := range events {
+			failAt[i] = events[i].At
 		}
-		if err := e.k.ScheduleBatch(failures); err != nil {
+		nextFailure := 0
+		if err := e.k.ScheduleStream(failAt, func(now sim.Time) {
+			fe := events[nextFailure]
+			nextFailure++
+			e.failMachines(fe, now)
+		}); err != nil {
 			return nil, fmt.Errorf("opendc: schedule failures: %w", err)
 		}
 	}

@@ -3,7 +3,7 @@ package sim
 // Differential fuzzing of the kernel's observable scheduling semantics
 // (paper §5.3, C15–C16: a hot-path rewrite is only safe if it is
 // byte-identical to its predecessor under every schedule). A byte program
-// decodes into a deterministic schedule of Schedule/AfterFunc/ScheduleBatch/
+// decodes into a deterministic schedule of Schedule/AfterFunc/ScheduleStream/
 // Cancel/Step/RunUntil operations — including zero delays, same-instant
 // collisions, nested in-handler scheduling, and delays straddling the wheel
 // horizon — and replays it through the timing-wheel kernel (several
@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -25,7 +26,7 @@ type kernelDriver interface {
 	Pending() int
 	Schedule(delay Time, fn Handler) (cancel func(), ok bool)
 	AfterFunc(delay Time, fn Handler)
-	ScheduleBatch(items []BatchItem) bool
+	ScheduleStream(at []Time, fn Handler) bool
 	Step() bool
 	RunUntil(horizon Time)
 	Run()
@@ -43,8 +44,8 @@ func (d realDriver) Schedule(delay Time, fn Handler) (func(), bool) {
 	return func() { d.k.Cancel(ev) }, true
 }
 func (d realDriver) AfterFunc(delay Time, fn Handler) { d.k.AfterFunc(delay, fn) }
-func (d realDriver) ScheduleBatch(items []BatchItem) bool {
-	return d.k.ScheduleBatch(items) == nil
+func (d realDriver) ScheduleStream(at []Time, fn Handler) bool {
+	return d.k.ScheduleStream(at, fn) == nil
 }
 func (d realDriver) Step() bool            { return d.k.Step() }
 func (d realDriver) RunUntil(horizon Time) { d.k.RunUntil(horizon) }
@@ -61,11 +62,13 @@ func (d refDriver) Schedule(delay Time, fn Handler) (func(), bool) {
 	}
 	return func() { d.r.cancel(ev) }, true
 }
-func (d refDriver) AfterFunc(delay Time, fn Handler)     { d.r.insert(d.r.now+delay, fn) }
-func (d refDriver) ScheduleBatch(items []BatchItem) bool { return d.r.scheduleBatch(items) }
-func (d refDriver) Step() bool                           { return d.r.step() }
-func (d refDriver) RunUntil(horizon Time)                { d.r.runUntil(horizon) }
-func (d refDriver) Run()                                 { d.r.run() }
+func (d refDriver) AfterFunc(delay Time, fn Handler) { d.r.insert(d.r.now+delay, fn) }
+func (d refDriver) ScheduleStream(at []Time, fn Handler) bool {
+	return d.r.scheduleStream(at, fn)
+}
+func (d refDriver) Step() bool            { return d.r.step() }
+func (d refDriver) RunUntil(horizon Time) { d.r.runUntil(horizon) }
+func (d refDriver) Run()                  { d.r.run() }
 
 // fireRec is one trace entry: which logical event fired and when.
 type fireRec struct {
@@ -121,6 +124,20 @@ func (r *replayState) nestedByte() byte {
 	b := r.data[(r.nestedAt*31+7)%len(r.data)]
 	r.nestedAt++
 	return b
+}
+
+// streamHandler returns the one Handler shared by an n-item stream: a cursor
+// hands each firing the next of n fresh logical ids, the way models keep
+// per-item data beside a stream.
+func (r *replayState) streamHandler(n int) Handler {
+	first := r.nextID
+	r.nextID += n
+	cursor := 0
+	return func(now Time) {
+		id := first + cursor
+		cursor++
+		r.handler(id)(now)
+	}
 }
 
 // handler returns the instrumented Handler for logical event id: it records
@@ -181,11 +198,12 @@ func replay(d kernelDriver, data []byte) replayResult {
 				r.cancels = append(r.cancels, cancel)
 			}
 		case 3:
-			items := make([]BatchItem, int(arg)%3+1)
-			for i := range items {
-				items[i] = BatchItem{At: d.Now() + progDelay(next()), Fn: r.handler(r.newID())}
+			at := make([]Time, int(arg)%3+1)
+			for i := range at {
+				at[i] = d.Now() + progDelay(next())
 			}
-			d.ScheduleBatch(items)
+			slices.Sort(at)
+			d.ScheduleStream(at, r.streamHandler(len(at)))
 		case 4:
 			if len(r.cancels) > 0 {
 				r.cancels[int(arg)%len(r.cancels)]()
@@ -195,13 +213,10 @@ func replay(d kernelDriver, data []byte) replayResult {
 		case 6:
 			d.RunUntil(d.Now() + progDelay(arg))
 		case 7:
-			// Far-future batch with an exact same-instant collision, plus a
+			// Far-future stream with an exact same-instant collision, plus a
 			// short event: exercises the wheel↔heap horizon handoff.
 			at := d.Now() + 257*Time(time.Millisecond)
-			d.ScheduleBatch([]BatchItem{
-				{At: at, Fn: r.handler(r.newID())},
-				{At: at, Fn: r.handler(r.newID())},
-			})
+			d.ScheduleStream([]Time{at, at}, r.streamHandler(2))
 			d.AfterFunc(progDelay(arg), r.handler(r.newID()))
 		}
 	}

@@ -22,11 +22,10 @@
 //     events. The wheel is observationally invisible — Step merges all
 //     sources strictly by (time, sequence) — and can be disabled with
 //     WithoutTimingWheel.
-//   - ScheduleBatch admits a pre-built slice of events in one heapify pass
-//     instead of n sift-ups (short-delay items route to the wheel too).
-//   - ScheduleStream admits a time-sorted slice sharing one handler behind a
-//     cursor (stream.go): zero allocation per item, with a reserved sequence
-//     block making it observationally identical to ScheduleBatch.
+//   - ScheduleStream is the one bulk-admission path: a time-sorted slice
+//     sharing one handler behind a cursor (stream.go), with zero allocation
+//     per item and no heap traffic; workload arrivals and pre-drawn failure
+//     timelines go in this way.
 //
 // Schedule/ScheduleAt/MustSchedule retain their original semantics: they
 // return a cancelable *Event handle the caller may hold indefinitely, so
@@ -61,7 +60,7 @@ type Event struct {
 	// late Cancel does not corrupt the kernel's live-event accounting.
 	fired bool
 	// pooled marks events created through the fire-and-forget APIs
-	// (AfterFunc, ScheduleBatch); no handle escapes, so the kernel recycles
+	// (AfterFunc); no handle escapes, so the kernel recycles
 	// them through the free list after they fire.
 	pooled bool
 	fn     Handler
@@ -259,50 +258,6 @@ func (k *Kernel) AfterFunc(delay Time, fn Handler) {
 		return
 	}
 	k.queue.push(k.allocEvent(at, fn))
-}
-
-// BatchItem is one entry of a ScheduleBatch call.
-type BatchItem struct {
-	At Time
-	Fn Handler
-}
-
-// ScheduleBatch admits many fire-and-forget events at absolute times in one
-// call. Short-delay items route to the timing wheel (O(1) each); for large
-// heap-bound remainders the queue is re-heapified once — O(n) instead of
-// n·O(log n) sift-ups — which makes bulk admission (workload arrivals,
-// pre-generated failure traces) cheap. Items may be in any order; FIFO
-// ordering among same-instant events follows slice order. The call is
-// all-or-nothing: if any item lies in the past, nothing is scheduled.
-func (k *Kernel) ScheduleBatch(items []BatchItem) error {
-	for i := range items {
-		if items[i].At < k.now {
-			return fmt.Errorf("%w: at=%v now=%v (batch item %d)", ErrPastEvent, items[i].At, k.now, i)
-		}
-	}
-	// Wheel-eligible items leave the queue untouched; heap-bound stragglers
-	// are appended and then sifted up individually when they are few
-	// relative to the existing queue (equivalent to plain pushes), or
-	// heapified in one O(n) pass when they dominate. Routing never changes
-	// relative order among same-instant items, because routing depends only
-	// on an item's time: same-instant items always land in the same queue.
-	start := len(k.queue)
-	for i := range items {
-		if k.wheelAdd(items[i].At, items[i].Fn) {
-			continue
-		}
-		k.queue = append(k.queue, k.allocEvent(items[i].At, items[i].Fn))
-	}
-	switch added := len(k.queue) - start; {
-	case added == 0:
-	case added < start/8:
-		for i := start; i < len(k.queue); i++ {
-			k.queue.up(i)
-		}
-	default:
-		k.queue.init()
-	}
-	return nil
 }
 
 // allocEvent takes a pooled event off the free list (or allocates one) and
@@ -603,12 +558,5 @@ func (q eventQueue) down(i int) {
 		}
 		q[i], q[least] = q[least], q[i]
 		i = least
-	}
-}
-
-// init establishes the heap invariant over the whole slice in O(n).
-func (q eventQueue) init() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.down(i)
 	}
 }

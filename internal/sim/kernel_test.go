@@ -474,33 +474,3 @@ func TestTimingWheelOptionValidation(t *testing.T) {
 		}()
 	}
 }
-
-// TestScheduleBatchRoutesThroughWheel admits a bulk batch straddling the
-// horizon and checks ordering and Pending across the split.
-func TestScheduleBatchRoutesThroughWheel(t *testing.T) {
-	k := New(1)
-	var got []Time
-	record := func(now Time) { got = append(got, now) }
-	items := []BatchItem{
-		{At: 300 * time.Millisecond, Fn: record}, // heap (past horizon)
-		{At: 2 * time.Millisecond, Fn: record},   // wheel
-		{At: 2 * time.Millisecond, Fn: record},   // wheel, same instant: FIFO
-		{At: 0, Fn: record},                      // heap (current tick)
-	}
-	if err := k.ScheduleBatch(items); err != nil {
-		t.Fatal(err)
-	}
-	if k.Pending() != 4 {
-		t.Fatalf("pending=%d, want 4", k.Pending())
-	}
-	k.Run()
-	want := []Time{0, 2 * time.Millisecond, 2 * time.Millisecond, 300 * time.Millisecond}
-	if len(got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order %v, want %v", got, want)
-		}
-	}
-}

@@ -45,14 +45,18 @@ func (r *refKernel) schedule(delay Time, fn Handler) (*refEvent, bool) {
 	return r.insert(r.now+delay, fn), true
 }
 
-func (r *refKernel) scheduleBatch(items []BatchItem) bool {
-	for i := range items {
-		if items[i].At < r.now {
+// scheduleStream admits a sorted stream by inserting its items one by one in
+// slice order, each with its own sequence number: the semantics the
+// kernel's cursor-based streams must reproduce. All-or-nothing, like the
+// kernel: a past or out-of-order item admits nothing.
+func (r *refKernel) scheduleStream(at []Time, fn Handler) bool {
+	for i := range at {
+		if at[i] < r.now || (i > 0 && at[i] < at[i-1]) {
 			return false
 		}
 	}
-	for i := range items {
-		r.insert(items[i].At, items[i].Fn)
+	for _, t := range at {
+		r.insert(t, fn)
 	}
 	return true
 }

@@ -1,22 +1,23 @@
 package sim
 
-// This file implements the sorted-stream front-end of the event queue: bulk
-// admission of a time-ordered fire-and-forget stream (workload arrivals,
-// pre-sorted trace replays) that shares ONE handler and never materializes
-// an Event per item. ScheduleBatch admits n arrivals as n pooled events —
-// all live simultaneously, so the free list cannot help and the kernel
-// allocates n Events up front. A stream instead keeps the caller's times
-// slice in place behind a cursor: admission is O(n) validation, zero
-// allocation per item, and the merge in Step reads the head element only.
+// This file implements the sorted-stream front-end of the event queue, the
+// kernel's one bulk-admission path: a time-ordered fire-and-forget stream
+// (workload arrivals, pre-drawn failure timelines, trace replays) that
+// shares ONE handler and never materializes an Event per item. Admitting n
+// arrivals as n pooled events would keep all n live in the heap at once, so
+// the free list could not help and every Step would sift through them. A
+// stream instead keeps the caller's times slice in place behind a cursor:
+// admission is O(n) validation, zero allocation per item, and the merge in
+// Step reads the head element only.
 //
-// Determinism contract: a stream is observationally identical to the
-// equivalent ScheduleBatch call. Batch items consume one sequence number
-// each, in slice order (allocEvent and wheelAdd both increment k.seq), so a
-// stream reserves the same contiguous block at admission — item i fires
-// with sequence base+1+i — and Step merges stream heads with the immediate
-// ring, heap, and wheel strictly by (time, sequence). Firing order, clock
-// advance, and Pending accounting cannot differ between the two admission
-// paths (TestScheduleStreamMatchesScheduleBatch enforces this).
+// Determinism contract: admitting a stream is observationally identical to
+// scheduling its items one by one, in slice order, at admission time. Each
+// item owns one sequence number from a contiguous block reserved at
+// admission — item i fires with sequence base+1+i — and Step merges stream
+// heads with the immediate ring, heap, and wheel strictly by (time,
+// sequence). Firing order, clock advance, and Pending accounting cannot
+// differ from the one-by-one schedule (TestScheduleStreamMatchesReference
+// and FuzzKernelOrdering check it against the reference kernel).
 
 import "fmt"
 
@@ -34,8 +35,9 @@ type eventStream struct {
 // absolute times, all sharing one handler, with zero per-event allocation:
 // the slice is referenced in place (the caller must not mutate it) and a
 // contiguous sequence block is reserved so the firing order is exactly that
-// of the equivalent ScheduleBatch call — same-instant stream items fire in
-// slice order, interleaved with other queues by (time, sequence). The call
+// of scheduling the items one by one in slice order — same-instant stream
+// items fire in slice order, interleaved with other queues by (time,
+// sequence). The call
 // is all-or-nothing: an out-of-order or past item admits nothing. Handlers
 // that need per-item data keep their own cursor, which the kernel's strict
 // in-order delivery keeps aligned with the stream head.

@@ -2,64 +2,51 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestScheduleStreamMatchesScheduleBatch is the stream's determinism proof:
-// the same sorted arrival set admitted as a stream and as a batch must fire
-// in the identical order, interleaved identically with reactive events the
-// handlers schedule at runtime (zero-delay immediates, short wheel delays,
-// long heap delays), including same-instant collisions between arrivals
-// and reactive events.
-func TestScheduleStreamMatchesScheduleBatch(t *testing.T) {
+// TestScheduleStreamMatchesReference is the stream's determinism proof: a
+// sorted arrival set admitted as one stream must fire exactly as the
+// reference kernel fires the same items inserted one by one, interleaved
+// identically with reactive events the handlers schedule at runtime
+// (zero-delay immediates, short wheel delays, long heap delays), including
+// same-instant collisions between arrivals and reactive events. Every
+// kernel geometry (wheel on, off, coarse, shift-indexed) is checked.
+func TestScheduleStreamMatchesReference(t *testing.T) {
 	type record struct {
 		tag string
 		id  int
 		at  Time
 	}
-	run := func(seed int64, arrivals []Time, useStream bool) []record {
+	run := func(d kernelDriver, arrivals []Time) []record {
 		var log []record
-		k := New(seed)
 		// Each arrival spawns a reactive chain: an immediate, a wheel-range
 		// delay, and a heap-range delay, some of which land exactly on later
 		// arrival instants (duplicates in the arrival slice force ties).
 		react := func(id int) {
-			k.AfterFunc(0, func(now Time) { log = append(log, record{"imm", id, now}) })
-			k.AfterFunc(Time(id%7+1)*Time(time.Millisecond), func(now Time) {
+			d.AfterFunc(0, func(now Time) { log = append(log, record{"imm", id, now}) })
+			d.AfterFunc(Time(id%7+1)*Time(time.Millisecond), func(now Time) {
 				log = append(log, record{"wheel", id, now})
 			})
-			k.AfterFunc(Time(id%5+1)*Time(time.Second), func(now Time) {
+			d.AfterFunc(Time(id%5+1)*Time(time.Second), func(now Time) {
 				log = append(log, record{"heap", id, now})
 			})
 		}
-		if useStream {
-			cursor := 0
-			if err := k.ScheduleStream(arrivals, func(now Time) {
-				id := cursor
-				cursor++
-				log = append(log, record{"arrive", id, now})
-				react(id)
-			}); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			items := make([]BatchItem, len(arrivals))
-			for i := range arrivals {
-				id := i
-				items[i] = BatchItem{At: arrivals[i], Fn: func(now Time) {
-					log = append(log, record{"arrive", id, now})
-					react(id)
-				}}
-			}
-			if err := k.ScheduleBatch(items); err != nil {
-				t.Fatal(err)
-			}
+		cursor := 0
+		if !d.ScheduleStream(arrivals, func(now Time) {
+			id := cursor
+			cursor++
+			log = append(log, record{"arrive", id, now})
+			react(id)
+		}) {
+			t.Fatal("stream rejected")
 		}
-		if got := k.Pending(); got < len(arrivals) {
+		if got := d.Pending(); got != len(arrivals) {
 			t.Fatalf("pending %d after admitting %d arrivals", got, len(arrivals))
 		}
-		k.Run()
+		d.Run()
 		return log
 	}
 
@@ -75,18 +62,73 @@ func TestScheduleStreamMatchesScheduleBatch(t *testing.T) {
 			clock += Time(r.Intn(3)) * Time(time.Second)
 			arrivals[i] = clock
 		}
-		seed := int64(trial)
-		batch := run(seed, arrivals, false)
-		stream := run(seed, arrivals, true)
-		if len(batch) != len(stream) {
-			t.Fatalf("trial %d: %d batch records vs %d stream records", trial, len(batch), len(stream))
-		}
-		for i := range batch {
-			if batch[i] != stream[i] {
-				t.Fatalf("trial %d: firing order diverges at %d: batch %+v vs stream %+v", trial, i, batch[i], stream[i])
+		want := run(refDriver{&refKernel{}}, arrivals)
+		for _, v := range kernelVariants() {
+			got := run(realDriver{v.k}, arrivals)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %s: %d records, reference %d", trial, v.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d %s: firing order diverges at %d: got %+v, reference %+v", trial, v.name, i, got[i], want[i])
+				}
 			}
 		}
 	}
+}
+
+// TestScheduleStreamAcrossWheelHorizon admits a stream straddling the timing
+// wheel's horizon around wheel- and heap-bound events scheduled before and
+// after it: the merge orders everything by (time, admission order), so
+// same-instant items fire in the order they were admitted whichever queue
+// holds them.
+func TestScheduleStreamAcrossWheelHorizon(t *testing.T) {
+	k := New(1)
+	var got []string
+	rec := func(tag string) Handler { return func(Time) { got = append(got, tag) } }
+	k.AfterFunc(2*time.Millisecond, rec("wheel-before"))
+	k.AfterFunc(300*time.Millisecond, rec("heap-before"))
+	tags := []string{"s0", "s2a", "s2b", "s300"}
+	cursor := 0
+	if err := k.ScheduleStream([]Time{0, 2 * time.Millisecond, 2 * time.Millisecond, 300 * time.Millisecond}, func(Time) {
+		got = append(got, tags[cursor])
+		cursor++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.AfterFunc(2*time.Millisecond, rec("wheel-after"))
+	k.AfterFunc(300*time.Millisecond, rec("heap-after"))
+	if k.Pending() != 8 {
+		t.Fatalf("pending=%d, want 8", k.Pending())
+	}
+	k.Run()
+	want := []string{"s0", "wheel-before", "s2a", "s2b", "wheel-after", "heap-before", "s300", "heap-after"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("firing order %v, want %v", got, want)
+	}
+}
+
+// TestScheduleStreamRejectsPastAllOrNothing: a stream with one bad item —
+// in the past, or out of order after valid ones — admits none of its items
+// and reserves no sequence numbers.
+func TestScheduleStreamRejectsPastAllOrNothing(t *testing.T) {
+	k := New(1)
+	k.MustSchedule(time.Second, func(Time) {})
+	k.Run() // now = 1s
+	seq := k.seq
+	bad := [][]Time{
+		{500 * time.Millisecond, 2 * time.Second},
+		{2 * time.Second, 3 * time.Second, 500 * time.Millisecond},
+	}
+	for _, at := range bad {
+		if err := k.ScheduleStream(at, func(Time) { t.Error("item from a rejected stream fired") }); err == nil {
+			t.Fatalf("stream %v accepted at now=1s", at)
+		}
+	}
+	if k.Pending() != 0 || k.seq != seq {
+		t.Fatalf("rejected streams left pending=%d and advanced seq by %d", k.Pending(), k.seq-seq)
+	}
+	k.Run()
 }
 
 // TestScheduleStreamAccounting covers Pending/Processed bookkeeping and the

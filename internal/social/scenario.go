@@ -8,9 +8,10 @@ package social
 // users, job groupings) over it.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mcs/internal/scenario"
@@ -198,8 +199,8 @@ func (s *socialScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 // allocates nothing. Returns the graph and the id→name table.
 //
 // Arrivals are chained — each firing schedules the next — rather than
-// admitted in one batch: the kernel then holds ONE pending arrival at a
-// time, recycled through the event pool (or the by-value wheel), instead of
+// admitted up front as one event each: the kernel then holds ONE pending
+// arrival at a time, recycled through the event pool (or the by-value wheel), instead of
 // a million live Events. Chaining is order-safe here precisely because this
 // kernel carries no other event type: firing order is the sorted arrival
 // order either way.
@@ -225,7 +226,7 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 	// The stable sort keeps same-instant submissions in job order, so the
 	// cursor walk reproduces the firing order of the per-job schedule loop
 	// this replaces (the kernel fires by time, then admission order).
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+	slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
 
 	var (
 		recentUID []int32
