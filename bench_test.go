@@ -53,11 +53,10 @@ func BenchmarkTable5FieldComparison(b *testing.B) { benchExperiment(b, "T5") }
 // BenchmarkKernelThroughput measures raw kernel event throughput with a
 // fleet of self-rescheduling actors — the access pattern every ecosystem
 // model produces. The "schedule" variant uses the handle-returning API; the
-// "afterfunc" variant uses the pooled fire-and-forget fast path, whose
-// short millisecond delays land in the timing wheel; "afterfunc-nowheel"
-// runs the same workload on the heap-only kernel, isolating the wheel's
-// contribution. The events/sec metric is the headline number tracked
-// across kernel changes (see CHANGES.md for the recorded history).
+// "afterfunc" variant uses the pooled fire-and-forget path, whose events are
+// recycled through the kernel's free list. Both go through the binary heap.
+// The events/sec metric is the headline number tracked across kernel
+// changes (see CHANGES.md for the recorded history).
 func BenchmarkKernelThroughput(b *testing.B) {
 	bench := func(b *testing.B, k *sim.Kernel, schedule func(k *sim.Kernel, delay sim.Time, fn sim.Handler)) {
 		const actors = 256
@@ -84,9 +83,6 @@ func BenchmarkKernelThroughput(b *testing.B) {
 	})
 	b.Run("afterfunc", func(b *testing.B) {
 		bench(b, sim.New(42), afterFunc)
-	})
-	b.Run("afterfunc-nowheel", func(b *testing.B) {
-		bench(b, sim.New(42, sim.WithoutTimingWheel()), afterFunc)
 	})
 }
 

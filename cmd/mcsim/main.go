@@ -214,7 +214,7 @@ func run(args []string, stdin io.Reader, out, status io.Writer) error {
 		}
 		return runDistributed(raw, *workers, *connect, *resume, *shard, *exportCSV, prog, out, status)
 	}
-	env, err := scenario.ParseEnvelope(raw)
+	env, err := scenario.ParseCommon(raw)
 	if err != nil {
 		return err
 	}
@@ -351,7 +351,7 @@ func serveWorker(addr string, status io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(status, "mcsim: worker serving %d scenario kinds on %s\n", len(scenario.List()), ln.Addr())
-	return http.Serve(ln, dist.NewHandler())
+	return http.Serve(ln, dist.NewServer().Handler())
 }
 
 // runDistributed executes a sweep document through the internal/dist
@@ -361,7 +361,7 @@ func serveWorker(addr string, status io.Writer) error {
 // contract. Cells that failed permanently are recorded in the report and
 // summarized as an error after the report is written.
 func runDistributed(raw json.RawMessage, workers int, connect, resume string, shard int, exportCSV string, events obs.Sink, out, status io.Writer) error {
-	env, err := scenario.ParseEnvelope(raw)
+	env, err := scenario.ParseCommon(raw)
 	if err != nil {
 		return err
 	}
@@ -446,7 +446,7 @@ func composeSweep(base json.RawMessage, gridPath string, parallel int) (json.Raw
 	if err := json.Unmarshal(gridRaw, &grid); err != nil {
 		return nil, fmt.Errorf("sweep grid %s: %w", gridPath, err)
 	}
-	env, err := scenario.ParseEnvelope(base)
+	env, err := scenario.ParseCommon(base)
 	if err != nil {
 		return nil, err
 	}

@@ -466,7 +466,7 @@ func TestDistributedMatchesInProcessThroughCLI(t *testing.T) {
 	if err := run([]string{"-scenario", base, "-sweep", grid}, nil, &want, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(dist.NewHandler())
+	srv := httptest.NewServer(dist.NewServer().Handler())
 	defer srv.Close()
 	var got strings.Builder
 	args := []string{"-scenario", base, "-sweep", grid, "-distributed", "-connect", srv.URL, "-shard", "1"}
@@ -484,7 +484,7 @@ func TestDistributedMatchesInProcessThroughCLI(t *testing.T) {
 func TestDistributedResumeWritesCheckpoint(t *testing.T) {
 	base, grid := writeSweepFiles(t)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	srv := httptest.NewServer(dist.NewHandler())
+	srv := httptest.NewServer(dist.NewServer().Handler())
 	var want strings.Builder
 	args := []string{"-scenario", base, "-sweep", grid, "-distributed", "-connect", srv.URL, "-resume", ckpt}
 	if err := run(args, nil, &want, io.Discard); err != nil {

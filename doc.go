@@ -5,14 +5,12 @@
 // Systems" (Iosup et al., ICDCS 2018).
 //
 // The toolkit provides a high-throughput deterministic discrete-event
-// simulation kernel (internal/sim) whose hot path layers four mechanisms —
-// a pooled fire-and-forget event class, an O(1) immediate ring for
-// zero-delay events, a timing wheel for the dense short-delay mix (proven
-// byte-identical to the heap path by a differential fuzz harness), and
-// cursor-walked sorted streams for bulk admission beside a hand-rolled
-// binary heap — a pluggable
-// scenario registry
-// (internal/scenario) that unifies every workload domain behind one
+// simulation kernel (internal/sim) that merges three event sources strictly
+// by (time, sequence) — a hand-rolled binary heap with a pooled
+// fire-and-forget event class, an O(1) immediate ring for zero-delay events,
+// and cursor-walked sorted streams for bulk admission, proven against a
+// naive reference kernel by a differential fuzz harness — a pluggable
+// scenario registry (internal/scenario) that unifies every workload domain behind one
 // interface and one runner, and, on top of them, every substrate the
 // paper's programme requires: workload and trace models, a datacenter
 // simulator with pluggable resource management and scheduling, a

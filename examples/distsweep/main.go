@@ -79,7 +79,7 @@ func prove() error {
 			return err
 		}
 		defer ln.Close()
-		go http.Serve(ln, dist.NewHandler())
+		go http.Serve(ln, dist.NewServer().Handler())
 		fleet = append(fleet, &dist.HTTP{Base: "http://" + ln.Addr().String()})
 	}
 	remote, err := runThrough("HTTP fleet", fleet)

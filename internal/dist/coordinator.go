@@ -204,7 +204,7 @@ func (c *Coordinator) Run(ctx context.Context, raw json.RawMessage) (*scenario.R
 // run would carry, no metrics, and the typed failure as labels.
 func failureEnvelope(spec CellSpec, f Failure) *scenario.Result {
 	kind := scenario.DefaultKind
-	if env, err := scenario.ParseEnvelope(spec.Doc); err == nil {
+	if env, err := scenario.ParseCommon(spec.Doc); err == nil {
 		kind = env.Kind
 	}
 	return &scenario.Result{

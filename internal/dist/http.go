@@ -2,7 +2,7 @@ package dist
 
 // The HTTP transport: the same WorkUnit/CellResult messages as the
 // subprocess pipes, carried as `POST /run` with an NDJSON response stream.
-// NewHandler is the daemon side (cmd/mcsweepd, mcsim -worker -listen);
+// Server.Handler is the daemon side (cmd/mcsweepd, mcsim -worker -listen);
 // HTTP is the coordinator side. Results stream one line per cell and flush
 // as they complete, so the coordinator can checkpoint mid-unit and a lost
 // connection forfeits only the cells not yet received.
@@ -67,13 +67,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.Handle("/metrics", s.reg.Handler())
 	return mux
-}
-
-// NewHandler returns the worker daemon's HTTP handler with a private
-// metrics registry — the pre-Server API, kept for callers that only need
-// the transport endpoints.
-func NewHandler() http.Handler {
-	return NewServer().Handler()
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {

@@ -18,9 +18,9 @@ import (
 
 func TestHTTPWorkersMatchInProcess(t *testing.T) {
 	want := inProcessBytes(t, sweepDoc)
-	srv1 := httptest.NewServer(dist.NewHandler())
+	srv1 := httptest.NewServer(dist.NewServer().Handler())
 	defer srv1.Close()
-	srv2 := httptest.NewServer(dist.NewHandler())
+	srv2 := httptest.NewServer(dist.NewServer().Handler())
 	defer srv2.Close()
 	fleet := []dist.Worker{
 		&dist.HTTP{Base: srv1.URL, Client: srv1.Client()},
@@ -37,7 +37,7 @@ func TestHTTPWorkersMatchInProcess(t *testing.T) {
 
 func TestMixedFleetMatchesInProcess(t *testing.T) {
 	want := inProcessBytes(t, sweepDoc)
-	srv := httptest.NewServer(dist.NewHandler())
+	srv := httptest.NewServer(dist.NewServer().Handler())
 	defer srv.Close()
 	fleet := []dist.Worker{
 		&dist.HTTP{Base: srv.URL, Client: srv.Client()},
@@ -56,7 +56,7 @@ func TestMixedFleetMatchesInProcess(t *testing.T) {
 // any other lost worker — the rest of the fleet absorbs its cells.
 func TestDeadHTTPWorkerIsRetired(t *testing.T) {
 	want := inProcessBytes(t, sweepDoc)
-	srv := httptest.NewServer(dist.NewHandler())
+	srv := httptest.NewServer(dist.NewServer().Handler())
 	srv.Close() // dead on arrival
 	fleet := []dist.Worker{
 		&dist.HTTP{Base: srv.URL},
@@ -72,7 +72,7 @@ func TestDeadHTTPWorkerIsRetired(t *testing.T) {
 }
 
 func TestHandlerRejectsBadRequests(t *testing.T) {
-	srv := httptest.NewServer(dist.NewHandler())
+	srv := httptest.NewServer(dist.NewServer().Handler())
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/run")
@@ -95,7 +95,7 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 }
 
 func TestHandlerHealthz(t *testing.T) {
-	srv := httptest.NewServer(dist.NewHandler())
+	srv := httptest.NewServer(dist.NewServer().Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {
@@ -126,7 +126,7 @@ func TestHandlerHealthz(t *testing.T) {
 // TestHTTPWorkerRunDirect exercises the client against the handler without
 // the coordinator: one unit, results stream back in order.
 func TestHTTPWorkerRunDirect(t *testing.T) {
-	srv := httptest.NewServer(dist.NewHandler())
+	srv := httptest.NewServer(dist.NewServer().Handler())
 	defer srv.Close()
 	w := &dist.HTTP{Base: srv.URL, Client: srv.Client()}
 	unit := dist.WorkUnit{ID: 0, Cells: []dist.CellSpec{

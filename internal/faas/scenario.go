@@ -109,6 +109,31 @@ func (f *faasScenario) Configure(raw json.RawMessage) error {
 	if err := cfg.RejectParallel("faas"); err != nil {
 		return err
 	}
+	// Negative values are errors naming the field; zero keeps the default.
+	type field struct {
+		name string
+		v    float64
+	}
+	fields := []field{
+		{"invocations", float64(cfg.Invocations)},
+		{"meanGapSeconds", cfg.MeanGapSeconds},
+		{"keepWarm", float64(cfg.KeepWarm)},
+		{"maxInstances", float64(cfg.MaxInstances)},
+		{"idleTimeoutSeconds", cfg.IdleTimeoutSeconds},
+		{"workload.jobs", float64(cfg.Workload.Jobs)},
+	}
+	for i, fn := range cfg.Functions {
+		fields = append(fields,
+			field{fmt.Sprintf("functions[%d].meanSeconds", i), fn.MeanSeconds},
+			field{fmt.Sprintf("functions[%d].sigmaLog", i), fn.SigmaLog},
+			field{fmt.Sprintf("functions[%d].coldStartSeconds", i), fn.ColdStartSeconds},
+			field{fmt.Sprintf("functions[%d].memoryMB", i), float64(fn.MemoryMB)})
+	}
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("faas scenario: %s %v is negative", f.name, f.v)
+		}
+	}
 	if len(cfg.Functions) == 0 {
 		// Default catalog: the serverless example's image pipeline.
 		cfg.Functions = []FunctionJSON{
@@ -123,11 +148,11 @@ func (f *faasScenario) Configure(raw json.RawMessage) error {
 			return fmt.Errorf("faas scenario: function with empty name")
 		}
 		mean := fn.MeanSeconds
-		if mean <= 0 {
+		if mean == 0 {
 			mean = 0.1
 		}
 		sigma := fn.SigmaLog
-		if sigma <= 0 {
+		if sigma == 0 {
 			sigma = 0.6
 		}
 		f.functions = append(f.functions, Function{
@@ -145,11 +170,11 @@ func (f *faasScenario) Configure(raw json.RawMessage) error {
 	}
 
 	count := cfg.Invocations
-	if count <= 0 {
+	if count == 0 {
 		count = 1000
 	}
 	gap := cfg.MeanGapSeconds
-	if gap <= 0 {
+	if gap == 0 {
 		gap = 1
 	}
 	meanGap := time.Duration(gap * float64(time.Second))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,6 +103,46 @@ func TestFaasScenarioRejectsBadConfig(t *testing.T) {
 		if _, err := scenario.RunDocument(json.RawMessage(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+func TestFaasScenarioRejectsNegativeValues(t *testing.T) {
+	for name, tc := range map[string]struct{ doc, field string }{
+		"negative invocations":       {`{"kind": "faas", "invocations": -1}`, "invocations"},
+		"negative meanGapSeconds":    {`{"kind": "faas", "meanGapSeconds": -3}`, "meanGapSeconds"},
+		"negative keepWarm":          {`{"kind": "faas", "keepWarm": -1}`, "keepWarm"},
+		"negative maxInstances":      {`{"kind": "faas", "maxInstances": -8}`, "maxInstances"},
+		"negative idleTimeout":       {`{"kind": "faas", "idleTimeoutSeconds": -120}`, "idleTimeoutSeconds"},
+		"negative workload.jobs":     {`{"kind": "faas", "workload": {"jobs": -5}}`, "workload.jobs"},
+		"negative meanSeconds":       {`{"kind": "faas", "functions": [{"name": "a", "meanSeconds": -0.1}]}`, "functions[0].meanSeconds"},
+		"negative sigmaLog":          {`{"kind": "faas", "functions": [{"name": "a"}, {"name": "b", "sigmaLog": -0.6}]}`, "functions[1].sigmaLog"},
+		"negative coldStartSeconds":  {`{"kind": "faas", "functions": [{"name": "a", "coldStartSeconds": -1}]}`, "functions[0].coldStartSeconds"},
+		"negative function memoryMB": {`{"kind": "faas", "functions": [{"name": "a", "memoryMB": -128}]}`, "functions[0].memoryMB"},
+	} {
+		_, err := scenario.RunDocument(json.RawMessage(tc.doc))
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", name, err, tc.field)
+		}
+	}
+}
+
+func TestFaasScenarioZeroMeansDefault(t *testing.T) {
+	zero, err := scenario.RunDocument(json.RawMessage(`{"kind": "faas", "invocations": 0, "meanGapSeconds": 0,
+		"keepWarm": 0, "maxInstances": 0, "idleTimeoutSeconds": 0, "workload": {"jobs": 0}, "seed": 1,
+		"functions": [{"name": "f", "meanSeconds": 0, "sigmaLog": 0, "coldStartSeconds": 0, "memoryMB": 0}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	omitted, err := scenario.RunDocument(json.RawMessage(`{"kind": "faas", "seed": 1, "functions": [{"name": "f"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(zero)
+	b, _ := json.Marshal(omitted)
+	if string(a) != string(b) {
+		t.Errorf("explicit zeros differ from the defaults:\n  %s\n  %s", a, b)
 	}
 }
 

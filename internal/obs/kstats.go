@@ -16,22 +16,13 @@ import "time"
 // counter fields are written by internal/sim; the heartbeat fields are
 // configuration read by the kernel.
 type KernelStats struct {
-	// Per-path dispatch counts: which queue the kernel's four-way merge
+	// Per-path dispatch counts: which source the kernel's three-way merge
 	// drew each fired event from.
 	HeapDispatched      uint64
-	WheelDispatched     uint64
 	ImmediateDispatched uint64
 	StreamDispatched    uint64
 	// Canceled counts Cancel calls that actually canceled a live event.
 	Canceled uint64
-	// WheelRotations counts bucket primes — how many times the timing
-	// wheel sorted a bucket and rotated it to the front of the merge.
-	WheelRotations uint64
-	// HorizonOverflow counts fire-and-forget events that missed the wheel
-	// because they lay past its horizon and fell through to the heap (the
-	// hierarchy's overflow level). A high ratio of overflows to wheel
-	// dispatches says the wheel span is mis-tuned for the model.
-	HorizonOverflow uint64
 
 	// HeartbeatEvery, when positive, makes the kernel invoke OnHeartbeat
 	// after every HeartbeatEvery-th processed event. The callback runs on
@@ -49,12 +40,16 @@ type KernelStats struct {
 // the run while the kernel is idle.
 type KernelSnapshot struct {
 	HeapDispatched      uint64 `json:"heapDispatched"`
-	WheelDispatched     uint64 `json:"wheelDispatched"`
 	ImmediateDispatched uint64 `json:"immediateDispatched"`
 	StreamDispatched    uint64 `json:"streamDispatched"`
 	Canceled            uint64 `json:"canceled"`
-	WheelRotations      uint64 `json:"wheelRotations"`
-	HorizonOverflow     uint64 `json:"horizonOverflow"`
+	// WheelDispatched and HorizonOverflow are always zero: the kernel no
+	// longer has a timing wheel, so nothing is dispatched from one or
+	// overflows its horizon. They stay only because the perfbench
+	// harness still reports them as layer metrics; drop them together
+	// with those metrics.
+	WheelDispatched uint64 `json:"wheelDispatched"`
+	HorizonOverflow uint64 `json:"horizonOverflow"`
 }
 
 // Snapshot copies the counters out. Call it after the run (or from the
@@ -62,16 +57,13 @@ type KernelSnapshot struct {
 func (s *KernelStats) Snapshot() KernelSnapshot {
 	return KernelSnapshot{
 		HeapDispatched:      s.HeapDispatched,
-		WheelDispatched:     s.WheelDispatched,
 		ImmediateDispatched: s.ImmediateDispatched,
 		StreamDispatched:    s.StreamDispatched,
 		Canceled:            s.Canceled,
-		WheelRotations:      s.WheelRotations,
-		HorizonOverflow:     s.HorizonOverflow,
 	}
 }
 
-// Dispatched returns the total events dispatched across all four paths.
+// Dispatched returns the total events dispatched across the three paths.
 func (s KernelSnapshot) Dispatched() uint64 {
-	return s.HeapDispatched + s.WheelDispatched + s.ImmediateDispatched + s.StreamDispatched
+	return s.HeapDispatched + s.ImmediateDispatched + s.StreamDispatched
 }

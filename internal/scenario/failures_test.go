@@ -21,6 +21,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcs/internal/obs"
 	"mcs/internal/scenario"
 
 	// Register every ecosystem scenario.
@@ -116,6 +117,51 @@ func TestDatacenterLegacyFailuresRun(t *testing.T) {
 	}
 	if av := res.Metrics["availability"]; av <= 0 || av >= 1 {
 		t.Errorf("availability = %v, want in (0,1)", av)
+	}
+}
+
+// TestGoldenDocsDispatchAdditive runs every golden document of a
+// non-sharded kind on an observed kernel: the per-path dispatch counters
+// must sum to the events the result reports, so no merge source of the
+// kernel fires an event the telemetry misses.
+func TestGoldenDocsDispatchAdditive(t *testing.T) {
+	// Sharded kinds run on several kernels (per site, per algorithm, per
+	// cell) whose counters the observed kernel does not see yet.
+	sharded := map[string]bool{"federation": true, "graph": true, "sweep": true}
+	docs, err := filepath.Glob(filepath.Join("testdata", "golden", "*.doc.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, docPath := range docs {
+		doc, err := os.ReadFile(docPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := scenario.ParseCommon(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sharded[env.Kind] {
+			continue
+		}
+		name := strings.TrimSuffix(filepath.Base(docPath), ".doc.json")
+		t.Run(name, func(t *testing.T) {
+			s, err := scenario.New(env.Kind, doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &obs.KernelStats{}
+			res, err := scenario.RunScenarioObserved(s, env.Seed, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Events == 0 {
+				t.Fatal("run reports no events")
+			}
+			if got := st.Snapshot().Dispatched(); got != res.Events {
+				t.Errorf("dispatched %d events, result reports %d", got, res.Events)
+			}
+		})
 	}
 }
 

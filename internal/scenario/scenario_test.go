@@ -107,22 +107,22 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestParseEnvelopeDefaultsKind(t *testing.T) {
-	env, err := ParseEnvelope(json.RawMessage(`{"seed": 12, "machines": 4}`))
+func TestParseCommonDefaultsKind(t *testing.T) {
+	env, err := ParseCommon(json.RawMessage(`{"seed": 12, "machines": 4}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env.Kind != DefaultKind || env.Seed != 12 {
 		t.Errorf("envelope = %+v", env)
 	}
-	env, err = ParseEnvelope(json.RawMessage(`{"kind": "faas"}`))
+	env, err = ParseCommon(json.RawMessage(`{"kind": "faas"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env.Kind != "faas" {
 		t.Errorf("kind = %q", env.Kind)
 	}
-	if _, err := ParseEnvelope(json.RawMessage(`not json`)); err == nil {
+	if _, err := ParseCommon(json.RawMessage(`not json`)); err == nil {
 		t.Error("malformed envelope accepted")
 	}
 }

@@ -336,7 +336,7 @@ func ExpandSweepDocument(raw json.RawMessage) (SweepJSON, string, []Cell, error)
 	if cfg.Failures != nil {
 		return cfg, "", nil, fmt.Errorf("sweep: the failures overlay belongs in the base document (sweep it via grid paths like \"/failures/mtbf/mean\"), not at the sweep level")
 	}
-	env, err := ParseEnvelope(cfg.Base)
+	env, err := ParseCommon(cfg.Base)
 	if err != nil {
 		return cfg, "", nil, fmt.Errorf("sweep: base: %w", err)
 	}
@@ -358,7 +358,7 @@ func ExpandSweepDocument(raw json.RawMessage) (SweepJSON, string, []Cell, error)
 // sweep worker pool and distributed workers both route through it, which is
 // what makes a distributed combined report byte-identical to a local one.
 func RunCell(cell Cell) (*Result, error) {
-	env, err := ParseEnvelope(cell.Doc)
+	env, err := ParseCommon(cell.Doc)
 	if err != nil {
 		return nil, err
 	}

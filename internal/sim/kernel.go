@@ -7,21 +7,15 @@
 // Determinism is an MCS methodological requirement (paper §5.3, C15–C16:
 // reproducible simulation-based experimentation).
 //
-// The hot path is tuned for throughput. Four complementary mechanisms keep
-// heap churn off the critical loop:
+// The kernel has three event sources, merged strictly by (time, sequence):
 //
-//   - AfterFunc is a fire-and-forget scheduling API whose events never escape
-//     the kernel, so they are recycled through an internal free list instead
-//     of pressuring the garbage collector.
+//   - The binary heap holds every positive-delay event. AfterFunc is a
+//     fire-and-forget scheduling API whose events never escape the kernel,
+//     so they are recycled through an internal free list instead of
+//     pressuring the garbage collector.
 //   - AfterFunc with zero delay (the "run next, at this instant" pattern that
-//     dominates reactive models) bypasses the priority queue entirely and
-//     goes through an O(1) FIFO ring.
-//   - AfterFunc with a short positive delay goes into a timing wheel
-//     (wheel.go): O(1) per-tick bucket inserts instead of heap sift-ups,
-//     with the binary heap as the hierarchy's overflow level for far-future
-//     events. The wheel is observationally invisible — Step merges all
-//     sources strictly by (time, sequence) — and can be disabled with
-//     WithoutTimingWheel.
+//     dominates reactive models) bypasses the heap entirely and goes through
+//     an O(1) FIFO ring.
 //   - ScheduleStream is the one bulk-admission path: a time-sorted slice
 //     sharing one handler behind a cursor (stream.go), with zero allocation
 //     per item and no heap traffic; workload arrivals and pre-drawn failure
@@ -29,7 +23,7 @@
 //
 // Schedule/ScheduleAt/MustSchedule retain their original semantics: they
 // return a cancelable *Event handle the caller may hold indefinitely, so
-// those events are never recycled and never enter the wheel.
+// those events are never recycled.
 package sim
 
 import (
@@ -64,19 +58,12 @@ type Event struct {
 	// them through the free list after they fire.
 	pooled bool
 	fn     Handler
-	label  string
 	// next links events on the kernel's free list.
 	next *Event
 }
 
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
-
-// Label returns the optional debugging label attached to the event.
-func (e *Event) Label() string { return e.label }
-
-// Canceled reports whether the event has been canceled.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // ErrPastEvent is returned when scheduling an event before the current
 // virtual time.
@@ -101,9 +88,6 @@ type Kernel struct {
 	// the implicit "at == now" representation sound.
 	imm     []immEvent
 	immHead int
-	// wheel is the timing-wheel front-end for short-delay fire-and-forget
-	// events (see wheel.go); nil when disabled via WithoutTimingWheel.
-	wheel *timingWheel
 	// streams holds the live sorted arrival streams (see stream.go);
 	// exhausted streams are dropped as their last item fires.
 	streams   []*eventStream
@@ -126,19 +110,8 @@ type Kernel struct {
 // Option configures a Kernel at construction time.
 type Option func(*Kernel)
 
-// WithTimingWheel overrides the timing wheel's tick granularity and span
-// (horizon). The span is rounded up to the next power-of-two number of
-// ticks. Panics if tick is non-positive or span does not exceed tick.
-// The default wheel (1ms tick, 256ms span) is tuned for the dense
-// short-delay event mix of the ecosystem models; tighten the tick for
-// sub-millisecond models or widen the span for coarser ones.
-func WithTimingWheel(tick, span Time) Option {
-	return func(k *Kernel) { k.wheel = newTimingWheel(tick, span) }
-}
-
 // WithKernelStats attaches a telemetry accumulator: the kernel counts
-// per-path dispatches, cancels, wheel rotations, and horizon overflows
-// into st as it runs, and fires st.OnHeartbeat every st.HeartbeatEvery
+// per-path dispatches and cancels into st as it runs, and fires st.OnHeartbeat every st.HeartbeatEvery
 // processed events. Observability is strictly read-only: an observed
 // kernel fires the same events in the same order with the same RNG stream
 // as an unobserved one (TestKernelStatsDoNotPerturbExecution).
@@ -146,23 +119,11 @@ func WithKernelStats(st *obs.KernelStats) Option {
 	return func(k *Kernel) { k.stats = st }
 }
 
-// WithoutTimingWheel disables the timing wheel: every positive-delay event
-// goes to the binary heap. Firing order is identical either way (that is
-// the wheel's correctness contract, enforced by the differential fuzz
-// harness); the option exists for differential testing and as an escape
-// hatch.
-func WithoutTimingWheel() Option {
-	return func(k *Kernel) { k.wheel = nil }
-}
-
 // New returns a kernel whose random source is seeded with seed. The same seed
 // yields the same random stream and, therefore, the same simulation outcome
 // for deterministic models.
 func New(seed int64, opts ...Option) *Kernel {
-	k := &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		wheel: newTimingWheel(defaultWheelTick, defaultWheelSpan),
-	}
+	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
 	for _, opt := range opts {
 		opt(k)
 	}
@@ -180,13 +141,10 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of live events currently scheduled across the
-// heap, the immediate ring, the timing wheel, and any admitted streams.
+// heap, the immediate ring, and any admitted streams.
 // Canceled events awaiting lazy removal from the heap are not counted.
 func (k *Kernel) Pending() int {
 	n := len(k.queue) - k.canceledQueued + len(k.imm) - k.immHead
-	if k.wheel != nil {
-		n += k.wheel.count
-	}
 	for _, s := range k.streams {
 		n += len(s.at) - s.head
 	}
@@ -215,16 +173,6 @@ func (k *Kernel) ScheduleAt(at Time, fn Handler) (*Event, error) {
 	return ev, nil
 }
 
-// ScheduleLabeled is ScheduleAt with a debugging label attached to the event.
-func (k *Kernel) ScheduleLabeled(at Time, label string, fn Handler) (*Event, error) {
-	ev, err := k.ScheduleAt(at, fn)
-	if err != nil {
-		return nil, err
-	}
-	ev.label = label
-	return ev, nil
-}
-
 // MustSchedule is Schedule for callers that know delay is non-negative; it
 // panics on programmer error instead of returning one.
 func (k *Kernel) MustSchedule(delay Time, fn Handler) *Event {
@@ -238,9 +186,8 @@ func (k *Kernel) MustSchedule(delay Time, fn Handler) *Event {
 // AfterFunc arranges for fn to run after delay, without returning a handle.
 // It is the fire-and-forget fast path: the backing event is recycled through
 // the kernel's free list after it fires, a zero delay (run at this very
-// instant, after everything already scheduled for it) skips the priority
-// queue for an O(1) ring append, and a short positive delay lands in the
-// timing wheel's per-tick buckets instead of the heap. Use it for the bulk
+// instant, after everything already scheduled for it) skips the heap for an
+// O(1) ring append. Use it for the bulk
 // of model events — completions, hand-offs, scheduler passes — and reserve
 // Schedule for events that may need Cancel. AfterFunc panics on a negative
 // delay.
@@ -253,11 +200,7 @@ func (k *Kernel) AfterFunc(delay Time, fn Handler) {
 		k.imm = append(k.imm, immEvent{seq: k.seq, fn: fn})
 		return
 	}
-	at := k.now + delay
-	if k.wheelAdd(at, fn) {
-		return
-	}
-	k.queue.push(k.allocEvent(at, fn))
+	k.queue.push(k.allocEvent(k.now+delay, fn))
 }
 
 // allocEvent takes a pooled event off the free list (or allocates one) and
@@ -284,7 +227,6 @@ func (k *Kernel) recycle(ev *Event) {
 		return
 	}
 	ev.fn = nil
-	ev.label = ""
 	ev.next = k.free
 	k.free = ev
 }
@@ -303,23 +245,22 @@ func (k *Kernel) Cancel(ev *Event) {
 	}
 }
 
-// Sources the four-way merge in Step can draw the next event from.
+// Sources the three-way merge in Step can draw the next event from.
 const (
 	srcNone = iota
 	srcImm
 	srcHeap
-	srcWheel
 	srcStream
 )
 
 // Step executes the next event, if any, advancing the clock to its time.
 // It reports whether an event was executed.
 //
-// The next event is the least (time, sequence) across the four queues: the
-// immediate ring (due at the current instant), the binary heap, the timing
-// wheel, and the admitted stream heads. The strict merge is what makes the
-// wheel and the streams observationally invisible: firing order never
-// depends on which queue an event landed in.
+// The next event is the least (time, sequence) across the three sources:
+// the immediate ring (due at the current instant), the binary heap, and the
+// admitted stream heads. The strict merge is what makes the ring and the
+// streams observationally invisible: firing order never depends on which
+// source an event landed in.
 func (k *Kernel) Step() bool {
 	// Drop canceled events from the heap top so the merge compares live
 	// candidates only. Canceled events are always handle-bearing (never
@@ -337,24 +278,6 @@ func (k *Kernel) Step() bool {
 	if len(k.queue) > 0 {
 		if ev := k.queue[0]; src == srcNone || ev.at < at || (ev.at == at && ev.seq < seq) {
 			src, at, seq = srcHeap, ev.at, ev.seq
-		}
-	}
-	if w := k.wheel; w != nil && w.count > 0 {
-		var wev *wheelEvent
-		if w.curTick >= 0 {
-			wev = &w.buckets[w.curTick&w.mask][w.curHead]
-		} else if t := w.scan(k.now); src == srcNone || Time(t)*w.tick <= at {
-			// Only sort the bucket when it can actually win the merge: if
-			// the best candidate so far fires before the bucket's start,
-			// the wheel is out of the race this step.
-			w.prime(t)
-			if k.stats != nil {
-				k.stats.WheelRotations++
-			}
-			wev = &w.buckets[t&w.mask][0]
-		}
-		if wev != nil && (src == srcNone || wev.at < at || (wev.at == at && wev.seq < seq)) {
-			src, at, seq = srcWheel, wev.at, wev.seq
 		}
 	}
 	var str *eventStream
@@ -385,11 +308,6 @@ func (k *Kernel) Step() bool {
 		ev.fn = nil
 		k.recycle(ev)
 		fn(k.now)
-	case srcWheel:
-		at, fn := k.wheel.pop()
-		k.now = at
-		k.processed++
-		fn(k.now)
 	case srcStream:
 		fn := k.streamPop(str)
 		k.now = at
@@ -413,8 +331,6 @@ func (k *Kernel) noteDispatch(st *obs.KernelStats, src int) {
 		st.ImmediateDispatched++
 	case srcHeap:
 		st.HeapDispatched++
-	case srcWheel:
-		st.WheelDispatched++
 	case srcStream:
 		st.StreamDispatched++
 	}
@@ -472,24 +388,6 @@ func (k *Kernel) peek() (Time, bool) {
 	ok := false
 	if len(k.queue) > 0 {
 		at, ok = k.queue[0].at, true
-	}
-	if w := k.wheel; w != nil && w.count > 0 {
-		if w.curTick >= 0 {
-			if wat := w.buckets[w.curTick&w.mask][w.curHead].at; !ok || wat < at {
-				at, ok = wat, true
-			}
-		} else if t := w.scan(k.now); !ok || Time(t)*w.tick < at {
-			// Prime (sort) only when the bucket could actually hold the
-			// earliest event; when the heap front is due at or before the
-			// bucket's start it already is the minimum time.
-			w.prime(t)
-			if k.stats != nil {
-				k.stats.WheelRotations++
-			}
-			if wat := w.buckets[t&w.mask][0].at; !ok || wat < at {
-				at, ok = wat, true
-			}
-		}
 	}
 	for _, s := range k.streams {
 		if sat := s.at[s.head]; !ok || sat < at {

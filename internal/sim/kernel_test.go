@@ -60,7 +60,7 @@ func TestKernelCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !ev.Canceled() {
+	if !ev.canceled {
 		t.Error("event not marked canceled")
 	}
 	k.Cancel(ev) // double-cancel is a no-op
@@ -268,20 +268,20 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 	k.Run()
 }
 
-func TestScheduleLabeled(t *testing.T) {
+func TestScheduleAtHandle(t *testing.T) {
 	k := New(1)
-	ev, err := k.ScheduleLabeled(time.Second, "job-arrival", func(Time) {})
+	ev, err := k.ScheduleAt(time.Second, func(Time) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Label() != "job-arrival" || ev.At() != time.Second {
-		t.Errorf("label=%q at=%v", ev.Label(), ev.At())
+	if ev.At() != time.Second {
+		t.Errorf("at=%v", ev.At())
 	}
 	if k.Pending() != 1 {
 		t.Errorf("pending=%d", k.Pending())
 	}
-	if _, err := k.ScheduleLabeled(-time.Second+k.Now(), "past", func(Time) {}); err == nil {
-		t.Error("past labeled event accepted")
+	if _, err := k.ScheduleAt(-time.Second+k.Now(), func(Time) {}); err == nil {
+		t.Error("past event accepted")
 	}
 	k.Run()
 	if k.Pending() != 0 {
@@ -298,23 +298,23 @@ func TestScheduleNegativeDelayRejected(t *testing.T) {
 	}
 }
 
-// --- timing-wheel surface -------------------------------------------------
+// --- ordering across sources -----------------------------------------------
 
-// TestWheelHeapHorizonHandoff mixes wheel-window delays, past-horizon
-// delays, and handle-bearing events: whatever queue each lands in, the
-// firing order must be globally (time, seq).
-func TestWheelHeapHorizonHandoff(t *testing.T) {
+// TestMixedDelayOrdering mixes millisecond and sub-second fire-and-forget
+// delays with handle-bearing events, scheduled out of order and from inside
+// a handler: the firing order must be globally (time, seq).
+func TestMixedDelayOrdering(t *testing.T) {
 	k := New(1)
 	var got []Time
 	record := func(now Time) { got = append(got, now) }
-	k.AfterFunc(500*time.Millisecond, record)          // past the 256ms horizon: heap
-	k.AfterFunc(5*time.Millisecond, record)            // wheel
-	k.MustSchedule(3*time.Millisecond, record)         // handle-bearing: heap
-	k.AfterFunc(300*time.Millisecond, func(now Time) { // heap, reschedules into the wheel
+	k.AfterFunc(500*time.Millisecond, record)
+	k.AfterFunc(5*time.Millisecond, record)
+	k.MustSchedule(3*time.Millisecond, record) // handle-bearing
+	k.AfterFunc(300*time.Millisecond, func(now Time) {
 		record(now)
-		k.AfterFunc(2*time.Millisecond, record)
+		k.AfterFunc(2*time.Millisecond, record) // nested, due before the 500ms event
 	})
-	k.AfterFunc(255*time.Millisecond, record) // just inside the horizon: wheel
+	k.AfterFunc(255*time.Millisecond, record)
 	k.Run()
 	want := []Time{
 		3 * time.Millisecond, 5 * time.Millisecond, 255 * time.Millisecond,
@@ -330,45 +330,15 @@ func TestWheelHeapHorizonHandoff(t *testing.T) {
 	}
 }
 
-// TestRunUntilLandsMidBucket stops a coarse-tick kernel between two events
-// that share a wheel bucket: the horizon must split the bucket exactly.
-func TestRunUntilLandsMidBucket(t *testing.T) {
-	k := New(1, WithTimingWheel(10*time.Millisecond, time.Second))
-	var got []Time
-	record := func(now Time) { got = append(got, now) }
-	for _, d := range []Time{12, 14, 18} { // one bucket: tick 1 of 10ms
-		k.AfterFunc(d*Time(time.Millisecond), record)
-	}
-	if n := k.RunUntil(15 * time.Millisecond); n != 2 {
-		t.Fatalf("RunUntil processed %d events, want 2", n)
-	}
-	if k.Now() != 15*time.Millisecond {
-		t.Fatalf("clock at %v, want 15ms", k.Now())
-	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending=%d, want the rest of the bucket", k.Pending())
-	}
-	// A fresh event due before the bucket remainder, landing in the
-	// current tick, must still fire first.
-	k.AfterFunc(time.Millisecond, record)
-	k.Run()
-	want := []Time{12 * time.Millisecond, 14 * time.Millisecond, 16 * time.Millisecond, 18 * time.Millisecond}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestCancelHeapEventRacingBucketEvent pins the Cancel interaction across
-// queues: a canceled handle event due at the same instant as a wheel event
-// must not fire and must not perturb the wheel event.
-func TestCancelHeapEventRacingBucketEvent(t *testing.T) {
+// TestCancelRacingSameInstantEvent pins Cancel at a shared instant: a
+// canceled handle event due at the same time as a pooled event must not
+// fire and must not perturb the pooled event's place in the order.
+func TestCancelRacingSameInstantEvent(t *testing.T) {
 	k := New(1)
 	var got []int
-	ev := k.MustSchedule(5*time.Millisecond, func(Time) { got = append(got, 0) }) // heap, seq 1
-	k.AfterFunc(5*time.Millisecond, func(Time) { got = append(got, 1) })          // wheel, seq 2
-	k.MustSchedule(5*time.Millisecond, func(Time) { got = append(got, 2) })       // heap, seq 3
+	ev := k.MustSchedule(5*time.Millisecond, func(Time) { got = append(got, 0) }) // handle, seq 1
+	k.AfterFunc(5*time.Millisecond, func(Time) { got = append(got, 1) })          // pooled, seq 2
+	k.MustSchedule(5*time.Millisecond, func(Time) { got = append(got, 2) })       // handle, seq 3
 	k.Cancel(ev)
 	k.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -379,17 +349,20 @@ func TestCancelHeapEventRacingBucketEvent(t *testing.T) {
 	}
 }
 
-// TestPendingAcrossQueues checks Pending accounting over the heap, the
-// immediate ring, and the wheel at once, including cancellation.
+// TestPendingAcrossQueues checks Pending accounting over the heap (handle
+// and pooled events), the immediate ring, and a stream at once, including
+// cancellation.
 func TestPendingAcrossQueues(t *testing.T) {
 	k := New(1)
 	noop := func(Time) {}
-	ev := k.MustSchedule(time.Second, noop) // heap
-	k.MustSchedule(2*time.Second, noop)     // heap
+	ev := k.MustSchedule(time.Second, noop) // heap, handle
+	k.MustSchedule(2*time.Second, noop)     // heap, handle
 	k.AfterFunc(0, noop)                    // immediate ring
-	k.AfterFunc(5*time.Millisecond, noop)   // wheel
-	k.AfterFunc(10*time.Millisecond, noop)  // wheel
-	k.AfterFunc(500*time.Millisecond, noop) // past horizon: heap
+	k.AfterFunc(5*time.Millisecond, noop)   // heap, pooled
+	k.AfterFunc(500*time.Millisecond, noop) // heap, pooled
+	if err := k.ScheduleStream([]Time{10 * time.Millisecond}, noop); err != nil {
+		t.Fatal(err)
+	}
 	if k.Pending() != 6 {
 		t.Fatalf("pending=%d, want 6", k.Pending())
 	}
@@ -434,43 +407,5 @@ func TestPendingSkipsCanceledHeapEvents(t *testing.T) {
 	k.Cancel(evs[0])
 	if k.Pending() != 0 {
 		t.Fatalf("pending=%d after post-fire cancel, want 0", k.Pending())
-	}
-}
-
-// TestWithoutTimingWheel sanity-checks the heap-only configuration (the
-// differential harness compares it exhaustively against the wheel).
-func TestWithoutTimingWheel(t *testing.T) {
-	k := New(1, WithoutTimingWheel())
-	var got []Time
-	for _, d := range []Time{5, 1, 3} {
-		k.AfterFunc(d*Time(time.Millisecond), func(now Time) { got = append(got, now) })
-	}
-	if k.Pending() != 3 {
-		t.Fatalf("pending=%d, want 3", k.Pending())
-	}
-	k.Run()
-	want := []Time{time.Millisecond, 3 * time.Millisecond, 5 * time.Millisecond}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestTimingWheelOptionValidation pins the construction contract.
-func TestTimingWheelOptionValidation(t *testing.T) {
-	for name, opt := range map[string]Option{
-		"zero tick":     WithTimingWheel(0, time.Second),
-		"negative tick": WithTimingWheel(-time.Millisecond, time.Second),
-		"span <= tick":  WithTimingWheel(time.Millisecond, time.Millisecond),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			New(1, opt)
-		}()
 	}
 }

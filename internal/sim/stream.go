@@ -14,7 +14,7 @@ package sim
 // scheduling its items one by one, in slice order, at admission time. Each
 // item owns one sequence number from a contiguous block reserved at
 // admission — item i fires with sequence base+1+i — and Step merges stream
-// heads with the immediate ring, heap, and wheel strictly by (time,
+// heads with the immediate ring and the heap strictly by (time,
 // sequence). Firing order, clock advance, and Pending accounting cannot
 // differ from the one-by-one schedule (TestScheduleStreamMatchesReference
 // and FuzzKernelOrdering check it against the reference kernel).

@@ -200,7 +200,7 @@ func (s *socialScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 //
 // Arrivals are chained — each firing schedules the next — rather than
 // admitted up front as one event each: the kernel then holds ONE pending
-// arrival at a time, recycled through the event pool (or the by-value wheel), instead of
+// arrival at a time, recycled through the event pool, instead of
 // a million live Events. Chaining is order-safe here precisely because this
 // kernel carries no other event type: firing order is the sorted arrival
 // order either way.
