@@ -16,6 +16,21 @@ import (
 	"mcs/internal/scenario"
 )
 
+// TestMain doubles as the `mcsim -worker` child of -distributed -workers
+// runs: the subprocess fleet re-executes this test binary with -worker, and
+// MCSIM_TEST_WORKER routes that child to the CLI instead of the testing
+// framework, whose trailer would corrupt the protocol stream on stdout.
+func TestMain(m *testing.M) {
+	if os.Getenv("MCSIM_TEST_WORKER") != "" {
+		if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+			fmt.Fprintln(os.Stderr, "mcsim:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
 func parseExample(t *testing.T) ScenarioConfig {
 	t.Helper()
 	var cfg ScenarioConfig
@@ -497,6 +512,43 @@ func TestDistributedResumeWritesCheckpoint(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Errorf("replayed report diverged:\n got %s\nwant %s", got.String(), want.String())
+	}
+}
+
+// TestDistributedPrintsCellFailureLines: a poison cell on a local
+// subprocess fleet is retried twice and then fails permanently, and the
+// coordinator's text sink prints exactly those three lines on the status
+// stream.
+func TestDistributedPrintsCellFailureLines(t *testing.T) {
+	t.Setenv("MCSIM_TEST_WORKER", "1")
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	grid := filepath.Join(dir, "grid.json")
+	if err := os.WriteFile(base, []byte(`{"kind": "banking", "transactions": 80, "seed": 5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(grid, []byte(`{"/instantShare": [0.2, 9.5]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var status strings.Builder
+	err := run([]string{"-scenario", base, "-sweep", grid, "-distributed", "-workers", "1"}, nil, io.Discard, &status)
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 cells failed permanently") {
+		t.Fatalf("err = %v, want one permanent cell failure", err)
+	}
+	var lines []string
+	for _, line := range strings.Split(status.String(), "\n") {
+		if strings.HasPrefix(line, "dist: ") {
+			lines = append(lines, line)
+		}
+	}
+	want := []string{"failed (scenario), retry 1/2", "failed (scenario), retry 2/2", "failed permanently after 3 attempts: "}
+	if len(lines) != len(want) {
+		t.Fatalf("status printed %d dist lines, want %d:\n%s", len(lines), len(want), status.String())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], "dist: cell 1 (") || !strings.Contains(lines[i], w) {
+			t.Errorf("dist line %d = %q, want cell 1 %q", i, lines[i], w)
+		}
 	}
 }
 

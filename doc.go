@@ -43,7 +43,7 @@
 // output bytes are identical at any pool size.
 //
 // Workloads flow through a source layer (internal/workload Source:
-// synthetic, inline, or a trace file resolved by the internal/trace
+// synthetic, or a trace file resolved by the internal/trace
 // format registry — GWA-style gwf plus the exact native mcw), so the
 // trace-capable kinds (datacenter, faas, gaming, banking) replay an
 // exported trace to a byte-identical result; see examples/tracereplay

@@ -17,6 +17,7 @@ import (
 
 	"mcs/internal/autoscale"
 	"mcs/internal/elasticity"
+	"mcs/internal/sim"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func run() error {
 	fmt.Println("policy    accU    accO    tsU     tsO     instab  risk")
 	best, bestRisk := "", 0.0
 	for _, a := range autoscale.All() {
-		supply := autoscale.Simulate(a, demand, horizon, opts)
+		supply := autoscale.SimulateOn(sim.New(0), a, demand, horizon, opts)
 		m := elasticity.Compute(demand, supply, horizon, time.Minute)
 		risk := m.Risk(weights)
 		fmt.Printf("%-8s  %.3f   %.3f   %.3f   %.3f   %.3f   %.3f\n",

@@ -5,7 +5,7 @@
 // workflow-aware scalers Token and Plan. Each policy maps a demand history to
 // a desired supply of resource units.
 //
-// The Simulate harness replays a demand curve against a policy with a
+// The SimulateOn harness replays a demand curve against a policy with a
 // configurable provisioning delay, producing the supply curve that package
 // elasticity scores — reproducing the study's methodology, and with it the
 // paper's claim that no single autoscaler dominates (experiment D1).
@@ -256,85 +256,51 @@ type SimOptions struct {
 	InitialSupply int
 }
 
-// stepper is the per-epoch decision state shared by Simulate and
-// SimulateOn, so the pure-loop and kernel-driven replays cannot diverge.
-type stepper struct {
-	a               Autoscaler
-	opts            SimOptions
-	interval, delay time.Duration
-	supply          *stats.TimeSeries
-	visible         *stats.TimeSeries // demand history up to 'now'
-	pts             []stats.Point
-	next            int
-	current         int
-}
-
-func newStepper(a Autoscaler, demand *stats.TimeSeries, opts SimOptions) *stepper {
-	s := &stepper{a: a, opts: opts, interval: opts.Interval, delay: opts.ProvisioningDelay}
-	if s.interval <= 0 {
-		s.interval = time.Minute
-	}
-	if s.delay < 0 {
-		s.delay = 0
-	}
-	s.current = opts.InitialSupply
-	if s.current < opts.MinSupply {
-		s.current = opts.MinSupply
-	}
-	s.supply = stats.NewTimeSeries()
-	s.supply.Add(0, float64(s.current))
-	s.visible = stats.NewTimeSeries()
-	s.pts = demand.Points()
-	return s
-}
-
-// step runs one decision epoch: reveal the demand up to now, ask the
-// policy, and record any supply change (scale-ups land after the
-// provisioning delay, scale-downs are immediate).
-func (s *stepper) step(now time.Duration) {
-	for s.next < len(s.pts) && s.pts[s.next].T <= now {
-		s.visible.Add(s.pts[s.next].T, s.pts[s.next].V)
-		s.next++
-	}
-	want := clamp(s.a.Decide(now, s.visible, s.current), s.opts.MinSupply, s.opts.MaxSupply)
-	if want == s.current {
-		return
-	}
-	if want > s.current {
-		s.supply.Add(now+s.delay, float64(want))
-	} else {
-		s.supply.Add(now, float64(want))
-	}
-	s.current = want
-}
-
-// Simulate replays the demand series against the autoscaler from time 0 to
-// horizon and returns the effective supply series (step function), honoring
-// the provisioning delay.
-func Simulate(a Autoscaler, demand *stats.TimeSeries, horizon time.Duration, opts SimOptions) *stats.TimeSeries {
-	s := newStepper(a, demand, opts)
-	for now := time.Duration(0); now <= horizon; now += s.interval {
-		s.step(now)
-	}
-	return s.supply
-}
-
-// SimulateOn is the kernel-driven variant of Simulate: every decision epoch
-// is a kernel event, so registry runs account autoscaler decisions in the
-// common event count. Both variants drive the same stepper, and
-// TestSimulateOnMatchesSimulate pins them to identical supply series.
+// SimulateOn replays the demand series against the autoscaler from time 0
+// to horizon and returns the effective supply series (step function),
+// honoring the provisioning delay. Every decision epoch is a kernel event,
+// so registry runs account autoscaler decisions in the common event count;
+// callers without a kernel of their own pass sim.New(0).
 func SimulateOn(k *sim.Kernel, a Autoscaler, demand *stats.TimeSeries, horizon time.Duration, opts SimOptions) *stats.TimeSeries {
-	s := newStepper(a, demand, opts)
+	interval, delay := opts.Interval, opts.ProvisioningDelay
+	if interval <= 0 {
+		interval = time.Minute
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	current := opts.InitialSupply
+	if current < opts.MinSupply {
+		current = opts.MinSupply
+	}
+	supply := stats.NewTimeSeries()
+	supply.Add(0, float64(current))
+	visible := stats.NewTimeSeries() // demand history up to now
+	pts := demand.Points()
+	next := 0
+	// Each epoch reveals the demand up to now, asks the policy, and
+	// records any supply change: scale-ups land after the provisioning
+	// delay, scale-downs are immediate.
 	var tick sim.Handler
 	tick = func(now sim.Time) {
-		s.step(now)
-		if now+s.interval <= horizon {
-			k.AfterFunc(s.interval, tick)
+		for next < len(pts) && pts[next].T <= now {
+			visible.Add(pts[next].T, pts[next].V)
+			next++
+		}
+		want := clamp(a.Decide(now, visible, current), opts.MinSupply, opts.MaxSupply)
+		if want > current {
+			supply.Add(now+delay, float64(want))
+		} else if want < current {
+			supply.Add(now, float64(want))
+		}
+		current = want
+		if now+interval <= horizon {
+			k.AfterFunc(interval, tick)
 		}
 	}
 	k.AfterFunc(0, tick)
 	k.Run()
-	return s.supply
+	return supply
 }
 
 func minInt(a, b int) int {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mcs/internal/sim"
 	"mcs/internal/stats"
 )
 
@@ -126,7 +127,7 @@ func TestAllReturnsSevenDistinctScalers(t *testing.T) {
 func TestSimulateHonorsBoundsAndDelay(t *testing.T) {
 	d := step(0, 0, 100, 100, 100, 0, 0, 0, 0, 0)
 	horizon := 10 * time.Minute
-	supply := Simulate(React{}, d, horizon, SimOptions{
+	supply := SimulateOn(sim.New(0), React{}, d, horizon, SimOptions{
 		Interval:          time.Minute,
 		ProvisioningDelay: 2 * time.Minute,
 		MinSupply:         1,
@@ -156,7 +157,7 @@ func TestSimulateOnlySeesPastDemand(t *testing.T) {
 	// A clairvoyant bug would provision for the future spike before it
 	// happens. Plan with a look-back window must not.
 	d := step(1, 1, 1, 1, 1, 1, 1, 1, 100, 1)
-	supply := Simulate(Plan{Window: 5 * time.Minute}, d, 10*time.Minute, SimOptions{Interval: time.Minute})
+	supply := SimulateOn(sim.New(0), Plan{Window: 5 * time.Minute}, d, 10*time.Minute, SimOptions{Interval: time.Minute})
 	samples := supply.Resample(0, 10*time.Minute, time.Minute)
 	for i := 0; i < 8; i++ {
 		if samples[i] > 2 {
@@ -167,8 +168,8 @@ func TestSimulateOnlySeesPastDemand(t *testing.T) {
 
 func TestSimulateDeterministic(t *testing.T) {
 	d := step(3, 9, 27, 9, 3, 1)
-	a := Simulate(ConPaaS{}, d, 6*time.Minute, SimOptions{})
-	b := Simulate(ConPaaS{}, d, 6*time.Minute, SimOptions{})
+	a := SimulateOn(sim.New(0), ConPaaS{}, d, 6*time.Minute, SimOptions{})
+	b := SimulateOn(sim.New(0), ConPaaS{}, d, 6*time.Minute, SimOptions{})
 	pa, pb := a.Points(), b.Points()
 	if len(pa) != len(pb) {
 		t.Fatal("nondeterministic supply series")
@@ -215,6 +216,6 @@ func BenchmarkSimulateDay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Simulate(ConPaaS{}, d, 24*time.Hour, SimOptions{})
+		SimulateOn(sim.New(0), ConPaaS{}, d, 24*time.Hour, SimOptions{})
 	}
 }

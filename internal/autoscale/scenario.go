@@ -162,6 +162,25 @@ func (a *autoscaleScenario) Configure(raw json.RawMessage) error {
 	if err := cfg.RejectParallel("autoscale"); err != nil {
 		return err
 	}
+	// Zero takes the default; a negative value is an error naming the field.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"horizonHours", cfg.HorizonHours},
+		{"intervalSeconds", cfg.IntervalSeconds},
+		{"minSupply", float64(cfg.MinSupply)},
+		{"maxSupply", float64(cfg.MaxSupply)},
+		{"initialSupply", float64(cfg.InitialSupply)},
+		{"headroom", cfg.Headroom},
+		{"maxStep", float64(cfg.MaxStep)},
+		{"percentile", cfg.Percentile},
+		{"windowMinutes", cfg.WindowMinutes},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("autoscale scenario: %s %v is negative", f.name, f.v)
+		}
+	}
 	policy, err := PolicyByName(cfg.Policy, cfg)
 	if err != nil {
 		return err
@@ -170,10 +189,10 @@ func (a *autoscaleScenario) Configure(raw json.RawMessage) error {
 	if cfg.Pattern, err = PatternByName(cfg.Pattern); err != nil {
 		return err
 	}
-	if cfg.HorizonHours <= 0 {
+	if cfg.HorizonHours == 0 {
 		cfg.HorizonHours = 24
 	}
-	if cfg.IntervalSeconds <= 0 {
+	if cfg.IntervalSeconds == 0 {
 		cfg.IntervalSeconds = 60
 	}
 	delaySeconds := 120.0
@@ -183,7 +202,7 @@ func (a *autoscaleScenario) Configure(raw json.RawMessage) error {
 			return fmt.Errorf("autoscale scenario: negative provisioningDelaySeconds %v", delaySeconds)
 		}
 	}
-	if cfg.MinSupply <= 0 {
+	if cfg.MinSupply == 0 {
 		cfg.MinSupply = 1
 	}
 	a.cfg = cfg

@@ -3,45 +3,13 @@ package autoscale
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"mcs/internal/scenario"
-	"mcs/internal/sim"
 	"mcs/internal/stats"
 )
-
-// TestSimulateOnMatchesSimulate pins the kernel-driven replay to the pure
-// loop: same inputs, identical supply series.
-func TestSimulateOnMatchesSimulate(t *testing.T) {
-	horizon := 8 * time.Hour
-	demand, err := DemandByName("bursty", horizon, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := SimOptions{
-		Interval:          time.Minute,
-		ProvisioningDelay: 2 * time.Minute,
-		MinSupply:         1,
-	}
-	for _, a := range All() {
-		pure := Simulate(a, demand, horizon, opts)
-		k := sim.New(1)
-		kernel := SimulateOn(k, a, demand, horizon, opts)
-		if len(pure.Points()) != len(kernel.Points()) {
-			t.Fatalf("%s: %d vs %d supply points", a.Name(), len(pure.Points()), len(kernel.Points()))
-		}
-		for i, p := range pure.Points() {
-			q := kernel.Points()[i]
-			if p.T != q.T || p.V != q.V {
-				t.Errorf("%s: point %d differs: (%v,%v) vs (%v,%v)", a.Name(), i, p.T, p.V, q.T, q.V)
-			}
-		}
-		if k.Processed() == 0 {
-			t.Errorf("%s: kernel replay produced no events", a.Name())
-		}
-	}
-}
 
 func TestAutoscaleScenarioPolicyMatrix(t *testing.T) {
 	for _, policy := range []string{"react", "adapt", "hist", "reg", "conpaas", "token", "plan"} {
@@ -73,6 +41,37 @@ func TestAutoscaleScenarioRejectsUnknowns(t *testing.T) {
 	}
 	if _, err := scenario.RunDocument(json.RawMessage(`{"kind": "autoscale", "pattern": "chaotic"}`)); err == nil {
 		t.Error("unknown pattern accepted")
+	}
+}
+
+func TestAutoscaleScenarioRejectsNegativeValues(t *testing.T) {
+	for _, field := range []string{"horizonHours", "intervalSeconds", "minSupply", "maxSupply",
+		"initialSupply", "headroom", "maxStep", "percentile", "windowMinutes"} {
+		doc := `{"kind": "autoscale", "` + field + `": -3}`
+		_, err := scenario.RunDocument(json.RawMessage(doc))
+		if err == nil {
+			t.Errorf("negative %s accepted", field)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: error %q does not name the field", field, err)
+		}
+	}
+}
+
+func TestAutoscaleScenarioZeroMeansDefault(t *testing.T) {
+	zero, err := scenario.RunDocument(json.RawMessage(`{"kind": "autoscale", "seed": 4, "horizonHours": 0,
+		"intervalSeconds": 0, "minSupply": 0, "maxSupply": 0, "initialSupply": 0,
+		"headroom": 0, "maxStep": 0, "percentile": 0, "windowMinutes": 0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	omitted, err := scenario.RunDocument(json.RawMessage(`{"kind": "autoscale", "seed": 4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(zero)
+	b, _ := json.Marshal(omitted)
+	if string(a) != string(b) {
+		t.Errorf("explicit zeros differ from the defaults:\n  %s\n  %s", a, b)
 	}
 }
 

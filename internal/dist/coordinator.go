@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -66,20 +65,12 @@ type Options struct {
 	// Heartbeat is the period of campaign heartbeat events (done/total,
 	// cumulative kernel events, live workers). Zero disables them.
 	Heartbeat time.Duration
-	// Status, when non-nil, receives human-readable progress lines.
-	//
-	// Deprecated: Status is the legacy free-form text hook, kept as a
-	// drop-in adapter — it now renders the Notable subset of the typed
-	// event stream through obs.TextSink, producing the same lines as
-	// before. New consumers should use Events.
-	Status io.Writer
 }
 
 // Coordinator runs sweep campaigns across a fleet of workers.
 type Coordinator struct {
 	workers []Worker
 	opts    Options
-	sink    obs.Sink // combined Events + Status adapter; nil when disabled
 
 	// Campaign progress, owned by the scheduler goroutine during dispatch
 	// (read by Run before/after): cells resolved, cells overall, cumulative
@@ -102,19 +93,15 @@ func NewCoordinator(workers []Worker, opts Options) (*Coordinator, error) {
 	} else if opts.Retries < 0 {
 		opts.Retries = 0
 	}
-	var status obs.Sink
-	if opts.Status != nil {
-		status = &obs.TextSink{W: opts.Status}
-	}
-	return &Coordinator{workers: workers, opts: opts, sink: obs.Multi(opts.Events, status)}, nil
+	return &Coordinator{workers: workers, opts: opts}, nil
 }
 
-// emit hands one progress event to the combined sink, if any. Events are
+// emit hands one progress event to the sink, if any. Events are
 // observational only: no campaign decision ever depends on whether or when
 // a sink consumed one.
 func (c *Coordinator) emit(ev obs.Event) {
-	if c.sink != nil {
-		c.sink.Emit(ev)
+	if c.opts.Events != nil {
+		c.opts.Events.Emit(ev)
 	}
 }
 
@@ -274,7 +261,7 @@ func (c *Coordinator) dispatch(ctx context.Context, remaining []CellSpec, result
 	// Heartbeats are purely observational; a nil channel (disabled) never
 	// fires in the select.
 	var heartbeat <-chan time.Time
-	if c.opts.Heartbeat > 0 && c.sink != nil {
+	if c.opts.Heartbeat > 0 && c.opts.Events != nil {
 		ticker := time.NewTicker(c.opts.Heartbeat)
 		defer ticker.Stop()
 		heartbeat = ticker.C

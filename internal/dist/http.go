@@ -2,7 +2,7 @@ package dist
 
 // The HTTP transport: the same WorkUnit/CellResult messages as the
 // subprocess pipes, carried as `POST /run` with an NDJSON response stream.
-// Server.Handler is the daemon side (cmd/mcsweepd, mcsim -worker -listen);
+// Server.Handler is the daemon side (cmd/mcsweepd);
 // HTTP is the coordinator side. Results stream one line per cell and flush
 // as they complete, so the coordinator can checkpoint mid-unit and a lost
 // connection forfeits only the cells not yet received.

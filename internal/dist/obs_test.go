@@ -1,8 +1,8 @@
 package dist_test
 
 // Observability contract of the campaign layer: the coordinator narrates
-// every lifecycle transition as typed obs.Events, the deprecated Status
-// writer still prints the exact legacy lines, and the daemon's /metrics
+// every lifecycle transition as typed obs.Events, a text sink on that
+// stream prints the exact failure lines, and the daemon's /metrics
 // and /healthz surfaces report what actually ran. None of it may change a
 // report byte — the determinism side is covered by the byte-identity tests
 // in dist_test.go running with sinks attached here.
@@ -139,17 +139,17 @@ func TestCoordinatorHeartbeatCarriesProgress(t *testing.T) {
 	}
 }
 
-// TestStatusAdapterKeepsLegacyLines: the deprecated Status writer must keep
-// printing the exact free-form lines it always did — retries and permanent
-// failures — and nothing else, even though it is now fed typed events.
-func TestStatusAdapterKeepsLegacyLines(t *testing.T) {
+// TestTextSinkPrintsCoordinatorFailureLines: a text sink on the campaign's
+// event stream prints the human-readable failure lines — retries and
+// permanent failures — and nothing else.
+func TestTextSinkPrintsCoordinatorFailureLines(t *testing.T) {
 	doc := `{
 	  "kind": "sweep", "seed": 5,
 	  "base": {"kind": "banking", "transactions": 80},
 	  "grid": {"/instantShare": [0.2, 9.5]}
 	}`
 	var buf bytes.Buffer
-	_, fails := runCoordinator(t, localFleet(1), dist.Options{Status: &buf}, doc)
+	_, fails := runCoordinator(t, localFleet(1), dist.Options{Events: &obs.TextSink{W: &buf}}, doc)
 	if len(fails) != 1 {
 		t.Fatalf("failures = %+v, want the poison cell", fails)
 	}

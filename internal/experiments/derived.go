@@ -12,6 +12,7 @@ import (
 	"mcs/internal/failure"
 	"mcs/internal/graphproc"
 	"mcs/internal/opendc"
+	"mcs/internal/sim"
 	"mcs/internal/social"
 	"mcs/internal/stats"
 	"mcs/internal/workload"
@@ -44,7 +45,7 @@ func D1AutoscalerMatrix(opts Options) (*Report, error) {
 		for _, dn := range order {
 			demand := demands[dn]
 			horizon := time.Duration(hours) * time.Hour
-			supply := autoscale.Simulate(a, demand, horizon, autoscale.SimOptions{
+			supply := autoscale.SimulateOn(sim.New(0), a, demand, horizon, autoscale.SimOptions{
 				Interval:          time.Minute,
 				ProvisioningDelay: 2 * time.Minute,
 				MinSupply:         1,
@@ -257,7 +258,7 @@ func D5SocialAware(opts Options) (*Report, error) {
 	predictor := social.NewGroupPredictor(groups)
 
 	// Oblivious: React. Social-aware: React plus predicted batch remainder.
-	reactSupply := autoscale.Simulate(autoscale.React{}, demand, horizon, autoscale.SimOptions{
+	reactSupply := autoscale.SimulateOn(sim.New(0), autoscale.React{}, demand, horizon, autoscale.SimOptions{
 		Interval: time.Minute, ProvisioningDelay: 2 * time.Minute, MinSupply: 1,
 	})
 	socialSupply := simulateSocialAware(w, demand, predictor, horizon)

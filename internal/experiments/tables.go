@@ -17,6 +17,7 @@ import (
 	"mcs/internal/graphproc"
 	"mcs/internal/opendc"
 	"mcs/internal/sched"
+	"mcs/internal/sim"
 	"mcs/internal/stats"
 	"mcs/internal/workload"
 )
@@ -67,7 +68,7 @@ func T2Principles(opts Options) (*Report, error) {
 	static := stats.NewTimeSeries()
 	static.Add(0, float64(peak))
 	mStatic := elasticity.Compute(demand, static, horizon, time.Minute)
-	supply := autoscale.Simulate(autoscale.React{Headroom: 0.1}, demand, horizon, autoscale.SimOptions{
+	supply := autoscale.SimulateOn(sim.New(0), autoscale.React{Headroom: 0.1}, demand, horizon, autoscale.SimOptions{
 		Interval: time.Minute, ProvisioningDelay: 2 * time.Minute, MinSupply: 1,
 	})
 	mReact := elasticity.Compute(demand, supply, horizon, time.Minute)

@@ -106,6 +106,14 @@ type Config struct {
 // on a bounded pool (cfg.Parallel) and fold in site order. The result is
 // byte-identical at any pool size.
 func Run(sites []Site, policy RoutingPolicy, cfg Config) (*Result, error) {
+	return RunOn(sim.New(cfg.Seed), sites, policy, cfg)
+}
+
+// RunOn is Run with a caller-provided parent kernel — the entry point used
+// by the scenario registry, where the runner owns the kernel. The sites
+// still run on their own sub-kernels (sim.PartitionedRun); an observed k
+// receives their dispatch counters, summed in site order.
+func RunOn(k *sim.Kernel, sites []Site, policy RoutingPolicy, cfg Config) (*Result, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("federation: no sites")
 	}
@@ -169,7 +177,7 @@ func Run(sites []Site, policy RoutingPolicy, cfg Config) (*Result, error) {
 	// kernel seeded cfg.Seed+i (the law the sequential loop always used),
 	// and a fresh copy of any stateful queue policy so concurrent engines
 	// never share policy memory.
-	siteRuns, err := sim.PartitionedRun(len(sites), cfg.Parallel, cfg.Seed,
+	siteRuns, err := sim.PartitionedRun(k, len(sites), cfg.Parallel, cfg.Seed,
 		func(i int, k *sim.Kernel) (SiteResult, error) {
 			s := sites[i]
 			jobs := routed[i]

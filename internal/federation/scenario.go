@@ -182,9 +182,10 @@ func (f *federationScenario) Configure(raw json.RawMessage) error {
 
 // Run implements scenario.Scenario. The federation drives one sub-kernel
 // per site (independent kernels are safe to run side by side); the runner's
-// kernel is unused, so the envelope's event count is summed from the sites.
-func (f *federationScenario) Run(_ *sim.Kernel) (*scenario.Result, error) {
-	res, err := Run(f.sites, f.policy, f.cfg)
+// kernel fires no events, so the envelope's event count is summed from the
+// sites, as are k's dispatch counters when it is observed.
+func (f *federationScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
+	res, err := RunOn(k, f.sites, f.policy, f.cfg)
 	if err != nil {
 		return nil, err
 	}

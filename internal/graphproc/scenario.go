@@ -130,7 +130,8 @@ func (g *graphScenario) Schema() any { return &ScenarioJSON{} }
 // (sim.PartitionedRun). Algorithms only read the shared graph, and their
 // checksums merge in algorithm order, so the result is byte-identical at
 // any pool size; the envelope's event count sums the shard kernels (one
-// event per algorithm, exactly what the sequential loop produced).
+// event per algorithm, exactly what the sequential loop produced), and so
+// do an observed k's dispatch counters.
 func (g *graphScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 	// SSSP needs weights; generating them unconditionally keeps the graph
 	// identical whichever algorithm subset runs.
@@ -147,7 +148,7 @@ func (g *graphScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 		checksum float64
 		events   uint64
 	}
-	shards, err := sim.PartitionedRun(len(g.algorithms), g.parallel, g.seed,
+	shards, err := sim.PartitionedRun(k, len(g.algorithms), g.parallel, g.seed,
 		func(i int, sk *sim.Kernel) (shard, error) {
 			var out shard
 			var runErr error

@@ -25,7 +25,7 @@ import (
 
 // Type names one kind of progress event. The taxonomy is deliberately
 // small and flat — every consumer (NDJSON files, the /progress stream,
-// `mcsim -watch`, the deprecated Status text adapter) switches on it.
+// `mcsim -watch`, the TextSink on mcsim's stderr) switches on it.
 type Type string
 
 // The event taxonomy. Campaign events come from the dist coordinator; run
@@ -105,9 +105,9 @@ type Event struct {
 }
 
 // String renders the event as the human-readable one-liner the text
-// boundary prints. The failure-flavored renderings reproduce the exact
-// lines the coordinator's free-form Status writer used to emit, so the
-// deprecated adapter stays drop-in.
+// boundary prints. The failure-flavored renderings are the exact lines
+// `mcsim -distributed` has always printed on stderr, so scripts that grep
+// them keep working.
 func (e Event) String() string {
 	switch e.Type {
 	case RunStarted:
@@ -152,10 +152,10 @@ func (e Event) String() string {
 }
 
 // Notable reports whether the event belongs to the quiet human-readable
-// subset — the conditions the coordinator's old free-form Status writer
-// reported (resume, retries, permanent failures, lost workers, checkpoint
-// aborts). The TextSink adapter filters on it by default so stderr keeps
-// its pre-obs verbosity while NDJSON sinks get the full firehose.
+// subset — the conditions worth a line on stderr (resume, retries,
+// permanent failures, lost workers, checkpoint aborts). TextSink filters
+// on it by default so stderr stays quiet while NDJSON sinks get the full
+// firehose.
 func (e Event) Notable() bool {
 	switch e.Type {
 	case CampaignResumed, CellRetried, CellFailed, CheckpointFailed:

@@ -8,8 +8,8 @@ import (
 )
 
 func TestEventStringRendersLegacyStatusLines(t *testing.T) {
-	// The deprecated Status adapter must reproduce the coordinator's old
-	// free-form lines exactly; these strings are the compatibility surface.
+	// The text sink on mcsim's stderr prints these lines exactly; they are
+	// the compatibility surface for scripts that grep campaign output.
 	cases := []struct {
 		ev   Event
 		want string
@@ -45,7 +45,7 @@ func TestEventStringRendersLegacyStatusLines(t *testing.T) {
 	}
 	quiet := Event{Type: CellFinished, Cell: 0, Key: "a=0", Done: 1, Total: 2}
 	if quiet.Notable() {
-		t.Error("cell-finished must not be Notable: the old Status writer never logged completions")
+		t.Error("cell-finished must not be Notable: stderr never logs completions")
 	}
 	released := Event{Type: WorkerRetired, Cell: -1, Worker: "w"}
 	if released.Notable() {

@@ -220,61 +220,3 @@ func TestConfigFreshResetsStatefulQueuePolicies(t *testing.T) {
 		t.Errorf("stateless member changed type: %T", fp.Policies[1])
 	}
 }
-
-func batchTasks(runtimes ...time.Duration) []workload.Task {
-	out := make([]workload.Task, len(runtimes))
-	for i, rt := range runtimes {
-		out[i] = workload.Task{ID: workload.TaskID(i + 1), Cores: 1, MemoryMB: 1, Runtime: rt}
-	}
-	return out
-}
-
-func TestMapBatchMinMinCompletesAllTasks(t *testing.T) {
-	tasks := batchTasks(10*time.Second, 20*time.Second, 30*time.Second, 40*time.Second)
-	machines := []*dcmodel.Machine{machineWith(0, 1, 1, ""), machineWith(1, 1, 1, "")}
-	for _, h := range []BatchHeuristic{MinMin, MaxMin, Sufferage} {
-		asg, makespan := MapBatch(tasks, machines, h)
-		if len(asg) != len(tasks) {
-			t.Fatalf("%v: assigned %d of %d", h, len(asg), len(tasks))
-		}
-		if makespan <= 0 {
-			t.Fatalf("%v: makespan=%v", h, makespan)
-		}
-		lb := MakespanLowerBound(tasks, machines)
-		if makespan < lb {
-			t.Fatalf("%v: makespan %v below lower bound %v", h, makespan, lb)
-		}
-		// For this instance optimal is 50s; heuristics should stay ≤ 2×LB.
-		if makespan > 2*lb {
-			t.Errorf("%v: makespan %v more than 2× lower bound %v", h, makespan, lb)
-		}
-		if h.String() == "" {
-			t.Error("heuristic name empty")
-		}
-	}
-}
-
-func TestMapBatchHeterogeneousPrefersFastMachines(t *testing.T) {
-	tasks := batchTasks(100*time.Second, 100*time.Second, 100*time.Second, 100*time.Second)
-	fast := machineWith(0, 1, 4.0, "")
-	slow := machineWith(1, 1, 1.0, "")
-	asg, _ := MapBatch(tasks, []*dcmodel.Machine{fast, slow}, MinMin)
-	fastCount := 0
-	for _, a := range asg {
-		if a.Machine == fast.ID {
-			fastCount++
-		}
-	}
-	if fastCount < 3 {
-		t.Errorf("min-min sent only %d of 4 tasks to the 4x machine", fastCount)
-	}
-}
-
-func TestMapBatchEmpty(t *testing.T) {
-	if asg, ms := MapBatch(nil, nil, MinMin); asg != nil || ms != 0 {
-		t.Error("empty batch must be a no-op")
-	}
-	if MakespanLowerBound(nil, nil) != 0 {
-		t.Error("empty lower bound must be 0")
-	}
-}

@@ -210,51 +210,6 @@ func TestTimerResetSupersedesPending(t *testing.T) {
 	}
 }
 
-func TestResourceFIFOQueueing(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, 2)
-	var order []int
-	hold := func(id int, dur Time) func(Time) {
-		return func(Time) {
-			order = append(order, id)
-			k.MustSchedule(dur, func(Time) { r.Release() })
-		}
-	}
-	for i := 0; i < 4; i++ {
-		r.Acquire(hold(i, time.Second))
-	}
-	k.Run()
-	if len(order) != 4 {
-		t.Fatalf("served %d acquirers, want 4", len(order))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("resource served out of FIFO order: %v", order)
-		}
-	}
-	if r.InUse() != 0 {
-		t.Errorf("resource leaked %d units", r.InUse())
-	}
-}
-
-func TestResourceSetCapacityWakesWaiters(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, 1)
-	granted := 0
-	for i := 0; i < 3; i++ {
-		r.Acquire(func(Time) { granted++ })
-	}
-	k.Run()
-	if granted != 1 {
-		t.Fatalf("granted=%d, want 1 before growth", granted)
-	}
-	r.SetCapacity(3)
-	k.Run()
-	if granted != 3 {
-		t.Fatalf("granted=%d, want 3 after growth", granted)
-	}
-}
-
 func BenchmarkKernelScheduleRun(b *testing.B) {
 	k := New(1)
 	noop := func(Time) {}

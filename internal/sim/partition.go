@@ -10,7 +10,10 @@ package sim
 // (seed, shard index), and the merge order is the shard order, so the
 // output bytes are identical at any pool size.
 
-import "mcs/internal/par"
+import (
+	"mcs/internal/obs"
+	"mcs/internal/par"
+)
 
 // PartitionedRun executes shards independent sub-simulations on a bounded
 // worker pool and returns the per-shard results in shard order. Each shard
@@ -26,10 +29,29 @@ import "mcs/internal/par"
 //
 // Shard functions must not share mutable state (that is what makes them
 // shards); read-only structures such as a pre-generated graph are safe to
-// share. Callers needing kernel options build their own kernels inside fn
-// and ignore the provided one.
-func PartitionedRun[T any](shards, workers int, seed int64, fn func(shard int, k *Kernel) (T, error)) ([]T, error) {
-	return par.MapOrdered(shards, workers, func(i int) (T, error) {
-		return fn(i, New(seed+int64(i)))
+// share.
+//
+// parent is the caller's kernel. When it is observed (WithKernelStats),
+// every shard kernel counts into its own obs.KernelStats — the counters are
+// not atomic, so shards never share one — and the pool's totals are added
+// into the parent's stats in shard order once every shard has finished.
+// Shard stats carry no heartbeat hook.
+func PartitionedRun[T any](parent *Kernel, shards, workers int, seed int64, fn func(shard int, k *Kernel) (T, error)) ([]T, error) {
+	var st []obs.KernelStats
+	if parent.stats != nil {
+		st = make([]obs.KernelStats, shards)
+	}
+	out, err := par.MapOrdered(shards, workers, func(i int) (T, error) {
+		if st == nil {
+			return fn(i, New(seed+int64(i)))
+		}
+		return fn(i, New(seed+int64(i), WithKernelStats(&st[i])))
 	})
+	for i := range st {
+		parent.stats.HeapDispatched += st[i].HeapDispatched
+		parent.stats.ImmediateDispatched += st[i].ImmediateDispatched
+		parent.stats.StreamDispatched += st[i].StreamDispatched
+		parent.stats.Canceled += st[i].Canceled
+	}
+	return out, err
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"mcs/internal/obs"
 )
 
 // TestPartitionedRunSeedLaw pins the per-shard seed law: shard i's kernel
@@ -17,7 +19,7 @@ func TestPartitionedRunSeedLaw(t *testing.T) {
 		want[i] = [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, err := PartitionedRun(shards, workers, seed, func(shard int, k *Kernel) ([3]float64, error) {
+		got, err := PartitionedRun(New(0), shards, workers, seed, func(shard int, k *Kernel) ([3]float64, error) {
 			rng := k.Rand()
 			return [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}, nil
 		})
@@ -34,22 +36,26 @@ func TestPartitionedRunSeedLaw(t *testing.T) {
 
 // TestPartitionedRunShardKernelsAreLive runs real events on every shard
 // kernel concurrently and checks the merged results arrive in shard order
-// with correct per-shard event accounting.
+// with correct per-shard event accounting, and that an observed parent
+// receives the shards' dispatch and cancel counters.
 func TestPartitionedRunShardKernelsAreLive(t *testing.T) {
 	type out struct {
 		shard  int
 		events uint64
 	}
-	outs, err := PartitionedRun(5, 4, 7, func(shard int, k *Kernel) (out, error) {
+	st := &obs.KernelStats{}
+	outs, err := PartitionedRun(New(0, WithKernelStats(st)), 5, 4, 7, func(shard int, k *Kernel) (out, error) {
 		for i := 0; i <= shard; i++ {
 			k.AfterFunc(Time(i)*Time(time.Millisecond), func(Time) {})
 		}
+		k.Cancel(k.MustSchedule(time.Second, func(Time) {}))
 		k.Run()
 		return out{shard: shard, events: k.Processed()}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events uint64
 	for i, o := range outs {
 		if o.shard != i {
 			t.Errorf("slot %d holds shard %d", i, o.shard)
@@ -57,12 +63,16 @@ func TestPartitionedRunShardKernelsAreLive(t *testing.T) {
 		if o.events != uint64(i+1) {
 			t.Errorf("shard %d processed %d events, want %d", i, o.events, i+1)
 		}
+		events += o.events
+	}
+	if snap := st.Snapshot(); snap.Dispatched() != events || snap.Canceled != 5 {
+		t.Errorf("parent stats = %+v, want %d dispatched and 5 canceled", snap, events)
 	}
 }
 
 func TestPartitionedRunSurfacesLowestIndexError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := PartitionedRun(4, 4, 1, func(shard int, k *Kernel) (int, error) {
+	_, err := PartitionedRun(New(0), 4, 4, 1, func(shard int, k *Kernel) (int, error) {
 		if shard >= 2 {
 			return 0, boom
 		}

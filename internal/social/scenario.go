@@ -81,16 +81,32 @@ func (s *socialScenario) Configure(raw json.RawMessage) error {
 	if err := cfg.RejectParallel("social"); err != nil {
 		return err
 	}
-	if cfg.Jobs <= 0 {
+	// Zero takes the default; a negative value is an error naming the field.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"jobs", float64(cfg.Jobs)},
+		{"users", float64(cfg.Users)},
+		{"userSkew", cfg.UserSkew},
+		{"windowSeconds", cfg.WindowSeconds},
+		{"communityIterations", float64(cfg.CommunityIterations)},
+		{"groupGapSeconds", cfg.GroupGapSeconds},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("social scenario: %s %v is negative", f.name, f.v)
+		}
+	}
+	if cfg.Jobs == 0 {
 		cfg.Jobs = 400
 	}
-	if cfg.Users <= 0 {
+	if cfg.Users == 0 {
 		cfg.Users = 32
 	}
-	if cfg.WindowSeconds <= 0 {
+	if cfg.WindowSeconds == 0 {
 		cfg.WindowSeconds = 300
 	}
-	if cfg.CommunityIterations <= 0 {
+	if cfg.CommunityIterations == 0 {
 		cfg.CommunityIterations = 16
 	}
 	if cfg.DominantShare <= 0 || cfg.DominantShare > 1 {
@@ -99,7 +115,7 @@ func (s *socialScenario) Configure(raw json.RawMessage) error {
 		}
 		cfg.DominantShare = 0.8
 	}
-	if cfg.GroupGapSeconds <= 0 {
+	if cfg.GroupGapSeconds == 0 {
 		cfg.GroupGapSeconds = 600
 	}
 	arrival, err := workload.ArrivalByName(cfg.Pattern)

@@ -3,6 +3,7 @@ package social
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,5 +70,34 @@ func TestSocialScenarioRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := scenario.RunDocument(json.RawMessage(`{"kind": "social", "dominantShare": 1.5}`)); err == nil {
 		t.Error("out-of-range dominantShare accepted")
+	}
+}
+
+func TestSocialScenarioRejectsNegativeValues(t *testing.T) {
+	for _, field := range []string{"jobs", "users", "userSkew", "windowSeconds", "communityIterations", "groupGapSeconds"} {
+		doc := `{"kind": "social", "` + field + `": -2}`
+		_, err := scenario.RunDocument(json.RawMessage(doc))
+		if err == nil {
+			t.Errorf("negative %s accepted", field)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: error %q does not name the field", field, err)
+		}
+	}
+}
+
+func TestSocialScenarioZeroMeansDefault(t *testing.T) {
+	zero, err := scenario.RunDocument(json.RawMessage(`{"kind": "social", "seed": 3, "jobs": 0, "users": 0,
+		"userSkew": 0, "windowSeconds": 0, "communityIterations": 0, "dominantShare": 0, "groupGapSeconds": 0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	omitted, err := scenario.RunDocument(json.RawMessage(`{"kind": "social", "seed": 3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(zero)
+	b, _ := json.Marshal(omitted)
+	if string(a) != string(b) {
+		t.Errorf("explicit zeros differ from the defaults:\n  %s\n  %s", a, b)
 	}
 }

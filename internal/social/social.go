@@ -75,34 +75,6 @@ func (g *InteractionGraph) NumEdges() int { return len(g.weights) }
 // Degree returns the weighted degree of an actor.
 func (g *InteractionGraph) Degree(a string) float64 { return g.degree[a] }
 
-// Neighbors returns the actors tied to a, sorted by descending tie strength.
-func (g *InteractionGraph) Neighbors(a string) []string {
-	type nb struct {
-		name string
-		w    float64
-	}
-	var nbs []nb
-	for k, w := range g.weights {
-		switch a {
-		case k[0]:
-			nbs = append(nbs, nb{k[1], w})
-		case k[1]:
-			nbs = append(nbs, nb{k[0], w})
-		}
-	}
-	sort.Slice(nbs, func(i, j int) bool {
-		if nbs[i].w != nbs[j].w {
-			return nbs[i].w > nbs[j].w
-		}
-		return nbs[i].name < nbs[j].name
-	})
-	out := make([]string, len(nbs))
-	for i, n := range nbs {
-		out[i] = n.name
-	}
-	return out
-}
-
 // Communities clusters actors by synchronous label propagation (the
 // community structure behind "strong social relationships (ties) between
 // users", ref [48]). It returns a map actor → community label, where the

@@ -234,109 +234,6 @@ func tCritical95(df int) float64 {
 	}
 }
 
-// ECDF is an empirical cumulative distribution function over a fixed sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted).
-func NewECDF(xs []float64) *ECDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-// At returns P(X ≤ x) under the empirical distribution.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile of the sample.
-func (e *ECDF) Quantile(q float64) float64 { return quantileSorted(e.sorted, q) }
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Histogram counts samples into uniform bins over [lo, hi). Samples outside
-// the range land in the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	total  uint64
-}
-
-// NewHistogram returns a histogram with bins uniform bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Quantile returns an approximate q-quantile assuming uniformity within bins.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := q * float64(h.total)
-	cum := 0.0
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.Lo + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.Hi
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs, the
-// instrument used to detect time-correlated behaviour (e.g. failure bursts,
-// paper §2.2).
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag <= 0 || lag >= n {
-		return 0
-	}
-	mean := Mean(xs)
-	var num, den float64
-	for i := 0; i < n-lag; i++ {
-		num += (xs[i] - mean) * (xs[i+lag] - mean)
-	}
-	for _, x := range xs {
-		den += (x - mean) * (x - mean)
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // LinearFit holds the result of an ordinary-least-squares line fit.
 type LinearFit struct {
 	Slope, Intercept, R2 float64

@@ -117,62 +117,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("ECDF(%v)=%v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len=%d", e.Len())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 10 {
-			t.Errorf("bin %d count=%d, want 10", i, c)
-		}
-	}
-	if h.Total() != 100 {
-		t.Errorf("total=%d", h.Total())
-	}
-	med := h.Quantile(0.5)
-	if med < 4 || med > 6 {
-		t.Errorf("median=%v out of [4,6]", med)
-	}
-	// Out-of-range samples clamp into edge bins.
-	h.Add(-5)
-	h.Add(99)
-	if h.Counts[0] != 11 || h.Counts[9] != 11 {
-		t.Error("edge clamping broken")
-	}
-}
-
-func TestAutocorrelationDetectsPeriodicity(t *testing.T) {
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = math.Sin(2 * math.Pi * float64(i) / 20)
-	}
-	if ac := Autocorrelation(xs, 20); ac < 0.9 {
-		t.Errorf("lag-20 autocorrelation of period-20 signal = %v, want ≥0.9", ac)
-	}
-	if ac := Autocorrelation(xs, 10); ac > -0.9 {
-		t.Errorf("lag-10 (half-period) autocorrelation = %v, want ≤-0.9", ac)
-	}
-	if Autocorrelation(xs, 0) != 0 || Autocorrelation(xs, len(xs)) != 0 {
-		t.Error("degenerate lags must return 0")
-	}
-}
-
 func TestFitLineRecoversKnownLine(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := make([]float64, len(xs))

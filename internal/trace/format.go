@@ -153,17 +153,6 @@ const (
 	FormatMCW = "mcw"
 )
 
-// gwfFormat adapts the package-level GWF Read/Write to the registry.
-// GWF stores times as millisecond-precision seconds, so it is lossy for
-// sub-millisecond workloads; mcw is the exact native format.
-type gwfFormat struct{}
-
-func (gwfFormat) Name() string                                  { return FormatGWF }
-func (gwfFormat) Read(in io.Reader) (*workload.Workload, error) { return Read(in) }
-func (gwfFormat) Write(out io.Writer, w *workload.Workload) error {
-	return Write(out, w)
-}
-
 func init() {
 	RegisterFormat(gwfFormat{})
 	RegisterFormat(mcwFormat{})

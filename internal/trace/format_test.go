@@ -201,27 +201,6 @@ func TestFileSourceErrors(t *testing.T) {
 	}
 }
 
-func TestGWFFormatMatchesPackageFunctions(t *testing.T) {
-	w := &workload.Workload{Jobs: []workload.Job{{
-		ID: 1, User: "u", Submit: time.Second,
-		Tasks: []workload.Task{{ID: 1, Job: 1, Cores: 1, MemoryMB: 64, Runtime: 2 * time.Second}},
-	}}}
-	var viaFormat, viaFunc bytes.Buffer
-	f, err := FormatByName(FormatGWF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Write(&viaFormat, w); err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(&viaFunc, w); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaFormat.Bytes(), viaFunc.Bytes()) {
-		t.Error("gwf registry format diverges from package Write")
-	}
-}
-
 func TestMCWRejectsTruncatedRecords(t *testing.T) {
 	// A short row must be ErrBadRecord, never a zero-filled workload (a
 	// partially written trace would otherwise replay as silently

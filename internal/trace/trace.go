@@ -1,12 +1,14 @@
-// Package trace implements a Grid-Workloads-Archive-style trace format
-// (paper ref [139], C16: "tools and instruments to gather valuable ...
-// operational traces ... through artifact-repositories"). Traces serialize
-// workloads so that experiments are replayable and shareable — the
-// reproducibility instrument principle P8 calls for.
+// Package trace serializes workloads as trace files (paper ref [139], C16:
+// "tools and instruments to gather valuable ... operational traces ...
+// through artifact-repositories"), so that experiments are replayable and
+// shareable — the reproducibility instrument principle P8 calls for.
 //
-// The on-disk format (.gwf, "grid workload format") is line-oriented text:
-// '#'-prefixed comment/header lines followed by one whitespace-separated
-// record per task:
+// Every codec is reached through the format registry (FormatByName,
+// ResolveFormat, File, WriteFile). Two formats are registered: mcw, the
+// exact native format (mcw.go), and gwf, a Grid-Workloads-Archive-style
+// format kept for pre-registry documents. The gwf format ("grid workload
+// format") is line-oriented text: '#'-prefixed comment/header lines
+// followed by one whitespace-separated record per task:
 //
 //	jobID taskID submitSec runtimeSec cores memoryMB user deps
 //
@@ -30,8 +32,15 @@ import (
 // ErrBadRecord reports a malformed trace line.
 var ErrBadRecord = errors.New("trace: malformed record")
 
-// Write serializes w in GWF format.
-func Write(out io.Writer, w *workload.Workload) error {
+// gwfFormat is the registry's GWF codec. GWF stores times as
+// millisecond-precision seconds, so it is lossy for sub-millisecond
+// workloads; mcw is the exact native format.
+type gwfFormat struct{}
+
+func (gwfFormat) Name() string { return FormatGWF }
+
+// Write implements Format.
+func (gwfFormat) Write(out io.Writer, w *workload.Workload) error {
 	bw := bufio.NewWriter(out)
 	fmt.Fprintln(bw, "# MCS grid workload format v1")
 	fmt.Fprintln(bw, "# jobID taskID submitSec runtimeSec cores memoryMB user deps")
@@ -58,9 +67,9 @@ func Write(out io.Writer, w *workload.Workload) error {
 	return bw.Flush()
 }
 
-// Read parses a GWF trace back into a workload. Tasks of the same job are
-// grouped; jobs are ordered by submit time.
-func Read(in io.Reader) (*workload.Workload, error) {
+// Read implements Format: tasks of the same job are grouped, and jobs are
+// ordered by submit time.
+func (gwfFormat) Read(in io.Reader) (*workload.Workload, error) {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
 	jobs := make(map[workload.JobID]*workload.Job)

@@ -18,10 +18,10 @@ func TestRoundTripIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, w); err != nil {
+	if err := (gwfFormat{}).Write(&buf, w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := (gwfFormat{}).Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +64,10 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, w); err != nil {
+		if err := (gwfFormat{}).Write(&buf, w); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := (gwfFormat{}).Read(&buf)
 		if err != nil {
 			return false
 		}
@@ -81,7 +81,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestReadSkipsCommentsAndBlank(t *testing.T) {
 	in := "# header\n\n  \n1 1 0.0 10.0 2 512 alice -\n"
-	w, err := Read(strings.NewReader(in))
+	w, err := (gwfFormat{}).Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"1 1 0.0 10.0 2 512 alice 1,x", // bad dep
 	}
 	for _, line := range bad {
-		if _, err := Read(strings.NewReader(line + "\n")); err == nil {
+		if _, err := (gwfFormat{}).Read(strings.NewReader(line + "\n")); err == nil {
 			t.Errorf("malformed line accepted: %q", line)
 		}
 	}
@@ -114,7 +114,7 @@ func TestReadGroupsTasksByJob(t *testing.T) {
 1 1 0.0 1.0 1 64 alice -
 1 2 0.0 1.0 1 64 alice 1
 `
-	w, err := Read(strings.NewReader(in))
+	w, err := (gwfFormat{}).Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +175,10 @@ func BenchmarkWriteRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := Write(&buf, w); err != nil {
+		if err := (gwfFormat{}).Write(&buf, w); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Read(&buf); err != nil {
+		if _, err := (gwfFormat{}).Read(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

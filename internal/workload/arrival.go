@@ -120,39 +120,12 @@ type FixedInterval struct {
 // Next implements ArrivalProcess.
 func (f FixedInterval) Next(*rand.Rand) time.Duration { return f.Interval }
 
-// Empirical resamples inter-arrival times from an observed trace
-// (bootstrap), preserving the trace's marginal distribution — the
-// trace-driven workload modeling of C19/[139]. Construct with NewEmpirical.
-type Empirical struct {
-	gaps []time.Duration
-}
-
-// NewEmpirical builds an empirical arrival process from a workload's
-// observed inter-arrival gaps. It returns nil if the workload has fewer
-// than two jobs.
-func NewEmpirical(w *Workload) *Empirical {
-	if len(w.Jobs) < 2 {
-		return nil
-	}
-	gaps := make([]time.Duration, 0, len(w.Jobs)-1)
-	for i := 1; i < len(w.Jobs); i++ {
-		gaps = append(gaps, w.Jobs[i].Submit-w.Jobs[i-1].Submit)
-	}
-	return &Empirical{gaps: gaps}
-}
-
-// Next implements ArrivalProcess.
-func (e *Empirical) Next(r *rand.Rand) time.Duration {
-	return e.gaps[r.Intn(len(e.gaps))]
-}
-
 // Compile-time interface compliance checks.
 var (
 	_ ArrivalProcess = Poisson{}
 	_ ArrivalProcess = (*MMPP2)(nil)
 	_ ArrivalProcess = (*Diurnal)(nil)
 	_ ArrivalProcess = FixedInterval{}
-	_ ArrivalProcess = (*Empirical)(nil)
 )
 
 // BurstinessIndex quantifies arrival burstiness as the coefficient of

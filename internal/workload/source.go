@@ -8,7 +8,7 @@ package workload
 // byte-identical result (paper P8, C16/C19: experiments reconstructible
 // from a document plus artifact files).
 //
-// The concrete sources are Synthetic and Inline here, plus trace.File in
+// The concrete sources are Synthetic here and trace.File in
 // internal/trace (kept there so this package does not depend on the trace
 // format registry).
 
@@ -43,18 +43,4 @@ func (s Synthetic) Load() (*Workload, error) {
 		return nil, fmt.Errorf("workload: synthetic source has no generator")
 	}
 	return s.Gen(rand.New(rand.NewSource(s.Seed)))
-}
-
-// Inline wraps an already-materialized workload (e.g. one built in code or
-// carried verbatim in a scenario document).
-type Inline struct {
-	W *Workload
-}
-
-// Load implements Source.
-func (s Inline) Load() (*Workload, error) {
-	if s.W == nil {
-		return nil, fmt.Errorf("workload: inline source has no workload")
-	}
-	return s.W, nil
 }

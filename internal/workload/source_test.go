@@ -3,7 +3,6 @@ package workload
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestSyntheticSourceIsDeterministic(t *testing.T) {
@@ -43,22 +42,5 @@ func TestSyntheticSourceIsDeterministic(t *testing.T) {
 func TestSyntheticSourceWithoutGenerator(t *testing.T) {
 	if _, err := (Synthetic{Seed: 1}).Load(); err == nil {
 		t.Error("nil generator accepted")
-	}
-}
-
-func TestInlineSource(t *testing.T) {
-	w := &Workload{Jobs: []Job{{
-		ID: 1, User: "u", Submit: time.Second,
-		Tasks: []Task{{ID: 1, Job: 1, Cores: 1, Runtime: time.Second}},
-	}}}
-	got, err := Inline{W: w}.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != w {
-		t.Error("inline source did not return its workload")
-	}
-	if _, err := (Inline{}).Load(); err == nil {
-		t.Error("nil inline workload accepted")
 	}
 }

@@ -295,51 +295,3 @@ func BenchmarkGenerate1000Jobs(b *testing.B) {
 		}
 	}
 }
-
-func TestEmpiricalArrivalPreservesDistribution(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	src, err := Generate(GeneratorConfig{
-		Jobs: 400,
-		Arrival: &MMPP2{
-			CalmRatePerHour: 20, BurstRatePerHour: 600,
-			MeanCalm: time.Hour, MeanBurst: 10 * time.Minute,
-		},
-	}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emp := NewEmpirical(src)
-	if emp == nil {
-		t.Fatal("empirical process not built")
-	}
-	var gapsSrc, gapsEmp []time.Duration
-	for i := 1; i < len(src.Jobs); i++ {
-		gapsSrc = append(gapsSrc, src.Jobs[i].Submit-src.Jobs[i-1].Submit)
-	}
-	for i := 0; i < 2000; i++ {
-		gapsEmp = append(gapsEmp, emp.Next(r))
-	}
-	// Burstiness (CV of gaps) must carry over from the source trace.
-	bs, be := BurstinessIndex(gapsSrc), BurstinessIndex(gapsEmp)
-	if be < bs*0.6 || be > bs*1.4 {
-		t.Errorf("resampled burstiness %v far from source %v", be, bs)
-	}
-	// Replay: a workload generated from the empirical process validates.
-	replay, err := Generate(GeneratorConfig{Jobs: 100, Arrival: emp}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replay.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEmpiricalNeedsTwoJobs(t *testing.T) {
-	if NewEmpirical(&Workload{}) != nil {
-		t.Error("empirical built from empty workload")
-	}
-	one := &Workload{Jobs: []Job{{ID: 1}}}
-	if NewEmpirical(one) != nil {
-		t.Error("empirical built from single job")
-	}
-}
